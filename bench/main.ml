@@ -6,13 +6,13 @@
            dune exec bench/main.exe -- fig7    (Figure 7 sweep)
            dune exec bench/main.exe -- bugs    (bug-finding at low delay bounds)
            dune exec bench/main.exe -- fig8    (Figure 8 table + per-store deep run;
-                                                --store exact|compact|bitstate
+                                                --store exact|compact
                                                 selects one store, --smoke shrinks
                                                 the budgets to CI scale)
            dune exec bench/main.exe -- overhead (section 4.1 comparison)
            dune exec bench/main.exe -- ablation (design-choice ablations)
            dune exec bench/main.exe -- digest-throughput
-                                               (incremental vs full fingerprints)
+                                               (incremental vs reference digests)
            dune exec bench/main.exe -- scaling (work-stealing engine across domains)
            dune exec bench/main.exe -- load    (open-loop serving load on the
                                                 sharded runtime; --machines N,
@@ -20,7 +20,7 @@
                                                 pin one cell, --smoke shrinks
                                                 the budgets)
            dune exec bench/main.exe -- reduce  (state-space reduction: sleep-set
-                                                POR + symmetry across the example
+                                                POR across the example
                                                 suite and the USB stack; --smoke
                                                 shrinks the budgets)
            dune exec bench/main.exe -- faults  (adversarial host: fault-injected
@@ -217,11 +217,10 @@ let fig8 ?(max_states = 250_000) ?(delay_bound = 1) () =
    state store. The paper's table reaches millions of states on an
    hours-scale testbed; the compact store holds a run of that class in a
    flat off-heap fingerprint arena (no per-state heap allocation, several
-   times fewer bytes per state than the exact hashtable), and bitstate
-   reports an explicit omission bound for the states it may merge away.
-   Every row records the store's measured footprint so [bench compare]
-   gates memory, not just wall clock. *)
-let store_kinds = [ State_store.Exact; State_store.Compact; State_store.Bitstate ]
+   times fewer bytes per state than the exact hashtable). Every row
+   records the store's measured footprint so [bench compare] gates
+   memory, not just wall clock. *)
+let store_kinds = [ State_store.Exact; State_store.Compact ]
 
 let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1)
     ?(stores = store_kinds) () =
@@ -269,8 +268,7 @@ let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1)
                Json.Float (float_of_int st.State_store.s_bytes /. 1e6) );
              ("bytes_per_state", Json.Float bps);
              ("occupancy", Json.Float st.State_store.s_occupancy);
-             ("omission_bound", Json.Float st.State_store.s_omission_bound);
-             ("lossy_dups", Json.Int st.State_store.s_lossy_dups) ]
+             ("omission_bound", Json.Float st.State_store.s_omission_bound) ]
           @
           if reduction > 0.0 && store <> State_store.Exact then
             [ ("reduction_vs_exact", Json.Float reduction) ]
@@ -578,12 +576,12 @@ let parallel_scaling ?(max_states = 2_000_000) ?(domain_counts = [ 1; 2; 4; 8 ])
   else !all_identical
 
 (* ------------------------------------------------------------------ *)
-(* Digest throughput: incremental vs full state fingerprinting         *)
+(* Digest throughput: incremental vs reference state fingerprinting    *)
 (* ------------------------------------------------------------------ *)
 
 let digest_throughput ?(max_states = 30_000) ?(rounds = 5)
     ?(explore_max = 120_000) () =
-  line "== Digest throughput: incremental per-machine cache vs full re-encoding ==";
+  line "== Digest throughput: incremental per-machine cache vs Canon.digest ==";
   line "   (the seen-set key of every engine; incremental mode reuses cached";
   line "    per-machine digests for machines the last block left untouched)";
   let tab = tab_of (P_examples_lib.German.program ()) in
@@ -603,53 +601,48 @@ let digest_throughput ?(max_states = 30_000) ?(rounds = 5)
   let n = Array.length configs in
   (* a fresh context per round reproduces an exploration's mix: one miss the
      first time a machine value is seen, hits for every untouched machine *)
-  let time_mode mode =
+  let time_digest make =
     let started = P_obs.Mclock.start () in
     for _ = 1 to rounds do
-      let fp = Fingerprint.create ~mode tab in
-      Array.iter (fun c -> ignore (Fingerprint.digest fp c [])) configs
+      let digest = make () in
+      Array.iter (fun c -> ignore (digest c [] : string)) configs
     done;
     float_of_int (n * rounds) /. P_obs.Mclock.elapsed_s started
   in
-  let full_rate = time_mode Fingerprint.Full in
-  let incr_rate = time_mode Fingerprint.Incremental in
+  let canon_rate = time_digest (fun () -> Canon.digest (Canon.create tab)) in
+  let incr_rate = time_digest (fun () -> Fingerprint.digest (Fingerprint.create tab)) in
   line "corpus: %d german configurations x %d rounds" n rounds;
-  line "  %-22s %12.0f digests/s" "full re-encoding" full_rate;
+  line "  %-22s %12.0f digests/s" "Canon.digest" canon_rate;
   line "  %-22s %12.0f digests/s  (%.2fx)" "incremental" incr_rate
-    (incr_rate /. full_rate);
+    (incr_rate /. canon_rate);
   line "end-to-end: parallel explore d=1, %d-state budget" explore_max;
   line "  %-12s %8s %10s %10s %12s" "mode" "domains" "states" "time(s)" "states/s";
   let rows = ref [] in
   List.iter
-    (fun mode ->
-      List.iter
-        (fun domains ->
-          let r =
-            Parallel.explore ~domains ~delay_bound:1 ~fingerprint:mode
-              ~max_states:explore_max tab
-          in
-          line "  %-12s %8d %10d %10.2f %12.0f"
-            (Fingerprint.mode_to_string mode)
-            domains r.stats.states r.stats.elapsed_s
-            (float_of_int r.stats.states /. r.stats.elapsed_s);
-          rows :=
-            Json.Obj
-              [ ("mode", Json.String (Fingerprint.mode_to_string mode));
-                ("domains", Json.Int domains);
-                ( "states_per_s",
-                  Json.Float (float_of_int r.stats.states /. r.stats.elapsed_s) );
-                ("stats", json_of_stats r.stats) ]
-            :: !rows)
-        [ 1; 2; 4 ])
-    [ Fingerprint.Full; Fingerprint.Incremental ];
+    (fun domains ->
+      let r =
+        Parallel.explore ~domains ~delay_bound:1 ~max_states:explore_max tab
+      in
+      line "  %-12s %8d %10d %10.2f %12.0f" "incremental" domains r.stats.states
+        r.stats.elapsed_s
+        (float_of_int r.stats.states /. r.stats.elapsed_s);
+      rows :=
+        Json.Obj
+          [ ("mode", Json.String "incremental");
+            ("domains", Json.Int domains);
+            ( "states_per_s",
+              Json.Float (float_of_int r.stats.states /. r.stats.elapsed_s) );
+            ("stats", json_of_stats r.stats) ]
+        :: !rows)
+    [ 1; 2; 4 ];
   record "digest_throughput"
     (Json.Obj
        [ ("benchmark", Json.String "german");
          ("corpus_configs", Json.Int n);
          ("rounds", Json.Int rounds);
-         ("full_digests_per_s", Json.Float full_rate);
+         ("full_digests_per_s", Json.Float canon_rate);
          ("incremental_digests_per_s", Json.Float incr_rate);
-         ("incremental_speedup", Json.Float (incr_rate /. full_rate));
+         ("incremental_speedup", Json.Float (incr_rate /. canon_rate));
          ("explore", Json.List (List.rev !rows)) ])
 
 (* ------------------------------------------------------------------ *)
@@ -747,7 +740,7 @@ let micro () =
    bench. State counts are deterministic, so they (and the ratios) are
    emitted as exact integers and gate in [compare]. *)
 let reduce_bench ?(smoke = false) () : bool =
-  line "== State-space reduction: sleep-set POR + symmetry ==";
+  line "== State-space reduction: sleep-set POR ==";
   let subjects =
     let usb_cap = if smoke then 12 else 20 in
     [ ("token-ring", tab_of (P_examples_lib.Token_ring.program ()), 2, None);
@@ -833,10 +826,10 @@ let reduce_bench ?(smoke = false) () : bool =
   in
   List.iter
     (fun name ->
-      match (states_of name "none", states_of name "full") with
+      match (states_of name "none", states_of name "por") with
       | Some n, Some f when f < n -> ()
       | Some n, Some f ->
-        line "FAIL: %s: full reduction explored %d states vs %d unreduced" name
+        line "FAIL: %s: por reduction explored %d states vs %d unreduced" name
           f n;
         ok := false
       | _ ->

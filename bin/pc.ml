@@ -198,15 +198,14 @@ let run_verify file example delay_bound max_states liveness show_trace domains
   | Some _ when reduce.P_checker.Reduce.por ->
     or_die
       (Error
-         "--faults is not compatible with sleep-set POR (--reduce por|full): \
+         "--faults is not compatible with sleep-set POR (--reduce por): \
           injected faults consume schedule-dependent fault indices, so \
-          commuted blocks are no longer equivalent; use --reduce symmetry \
-          or none")
+          commuted blocks are no longer equivalent; use --reduce none")
   | _ -> ());
   (match store_capacity with
   | Some c when c < 1 -> or_die (Error "--store-capacity must be positive")
   | Some _ when store = P_checker.State_store.Exact ->
-    or_die (Error "--store-capacity only applies to --store compact|bitstate")
+    or_die (Error "--store-capacity only applies to --store compact")
   | _ -> ());
   let metrics =
     match stats_json with None -> None | Some _ -> Some (P_obs.Metrics.create ())
@@ -320,10 +319,10 @@ let verify_cmd =
       & info [ "fingerprint" ] ~docv:"MODE"
           ~doc:
             "State fingerprinting: $(b,incremental) (per-machine digest \
-             cache, the default), $(b,full) (re-encode every configuration), \
-             or $(b,paranoid) (compute both and report any disagreement in \
-             the checker.fp_collisions metric). Verdicts and state counts \
-             are identical in every mode.")
+             cache, the default) or $(b,paranoid) (also re-encode every \
+             configuration and report any disagreement in the \
+             checker.fp_collisions metric). Verdicts and state counts are \
+             identical in both modes.")
   in
   let store =
     Arg.(
@@ -332,12 +331,10 @@ let verify_cmd =
       & info [ "store" ] ~docv:"KIND"
           ~doc:
             "Seen-set representation: $(b,exact) (string-keyed hashtable, \
-             ground truth, the default), $(b,compact) (open-addressing \
+             ground truth, the default) or $(b,compact) (open-addressing \
              64-bit fingerprint arena off the OCaml heap \u{2014} \u{2265}4x \
              smaller, lock-free CAS claims under $(b,--domains), merges \
-             distinct states only on a 47-bit tag collision), or \
-             $(b,bitstate) (double-hashed bit array, smallest footprint, \
-             reports an expected-omission bound; never un-finds an error).")
+             distinct states only on a 47-bit tag collision).")
   in
   let store_capacity =
     Arg.(
@@ -345,9 +342,8 @@ let verify_cmd =
       & opt (some int) None
       & info [ "store-capacity" ] ~docv:"N"
           ~doc:
-            "Arena size for $(b,--store compact) (slots) or $(b,bitstate) \
-             (bits); rounded up to a power of two. Default: sized from \
-             $(b,--max-states).")
+            "Arena size in slots for $(b,--store compact); rounded up to a \
+             power of two. Default: sized from $(b,--max-states).")
   in
   let reduce =
     Arg.(
@@ -355,13 +351,11 @@ let verify_cmd =
       & opt string "none"
       & info [ "reduce" ] ~docv:"MODE"
           ~doc:
-            "State-space reduction: $(b,none) (the default), $(b,por) \
-             (sleep-set partial-order reduction over scheduler choices), \
-             $(b,symmetry) (canonicalize machine identities before \
-             fingerprinting, so symmetric peers collapse to one state), or \
-             $(b,full) (both). Reduced runs reach the same verdict with \
-             never more states; validate a specific program with $(b,pc \
-             replay --differential) on the reduced counterexample.")
+            "State-space reduction: $(b,none) (the default) or $(b,por) \
+             (sleep-set partial-order reduction over scheduler choices). \
+             Reduced runs reach the same verdict with never more states; \
+             validate a specific program with $(b,pc replay \
+             --differential) on the reduced counterexample.")
   in
   let stats_json =
     Arg.(
@@ -608,11 +602,15 @@ let run_simulate_sharded program shards max_blocks seed faults stats_json =
             fields
             @ [ ( "faults",
                   P_obs.Json.Obj
-                    [ ("spec", P_obs.Json.String (P_host.Faults.to_string p));
+                    [ ("spec", P_obs.Json.String (P_semantics.Fault.to_string p));
                       ("seed", P_obs.Json.Int p.P_semantics.Fault.seed);
                       ( "injected",
-                        P_host.Faults.json_of_summary (P_host.Faults.summary st)
-                      ) ] ) ]
+                        P_obs.Json.Obj
+                          [ ("drops", P_obs.Json.Int st.Shard.sh_fault_drops);
+                            ("dups", P_obs.Json.Int st.Shard.sh_fault_dups);
+                            ("reorders", P_obs.Json.Int st.Shard.sh_fault_reorders);
+                            ("crash_restarts", P_obs.Json.Int st.Shard.sh_crash_restarts)
+                          ] ) ] ) ]
         in
         let fields =
           match metrics with
@@ -630,9 +628,16 @@ let run_simulate_sharded program shards max_blocks seed faults stats_json =
       st.Shard.sh_dequeues st.Shard.sh_shards st.Shard.sh_machines
       st.Shard.sh_sends st.Shard.sh_spawns st.Shard.sh_xfer_msgs
       (st.Shard.sh_shed_mailbox + st.Shard.sh_shed_ingress);
-    if faults <> None then
-      Fmt.pr "adversarial host: %a@." P_host.Faults.pp_summary
-        (P_host.Faults.summary st)
+    if faults <> None then begin
+      let drops = st.Shard.sh_fault_drops and dups = st.Shard.sh_fault_dups in
+      let reorders = st.Shard.sh_fault_reorders
+      and crashes = st.Shard.sh_crash_restarts in
+      Fmt.pr
+        "adversarial host: %d faults (%d dropped, %d duplicated, %d reordered, \
+         %d crash-restarts)@."
+        (drops + dups + reorders + crashes)
+        drops dups reorders crashes
+    end
   | Error msg ->
     Fmt.pr "sharded simulation: error: %s@." msg;
     exit 1)

@@ -36,10 +36,6 @@ type t = {
   var_ids : int Names.Var.Tbl.t;
   action_ids : int Names.Action.Tbl.t;
   buf : Buffer.t;
-  mutable rn : (int -> int) option;
-      (** renaming applied to every machine identifier while encoding:
-          symmetry reduction digests the π-renamed configuration without
-          materializing it. [None] = identity. *)
 }
 
 (* Intern every statement node of the program, physical identity keyed.
@@ -74,8 +70,7 @@ let create (tab : Symtab.t) : t =
       machine_ids = Names.Machine.Tbl.create 32;
       var_ids = Names.Var.Tbl.create 64;
       action_ids = Names.Action.Tbl.create 32;
-      buf = Buffer.create 512;
-      rn = None }
+      buf = Buffer.create 512 }
   in
   List.iteri
     (fun i (ev : Ast.event_decl) -> Names.Event.Tbl.replace t.event_ids ev.event_name i)
@@ -115,9 +110,6 @@ let add_int t i =
   in
   go (if i < 0 then (-2 * i) - 1 else 2 * i)
 
-let add_mid t i =
-  match t.rn with None -> add_int t i | Some f -> add_int t (f i)
-
 let add_event t e = add_int t (Names.Event.Tbl.find t.event_ids e)
 let add_state t n = add_int t (Names.State.Tbl.find t.state_ids n)
 let add_machine_name t m = add_int t (Names.Machine.Tbl.find t.machine_ids m)
@@ -137,7 +129,7 @@ let add_value t (v : Value.t) =
     add_event t e
   | Value.Machine id ->
     add_int t 5;
-    add_mid t (Mid.to_int id)
+    add_int t (Mid.to_int id)
 
 let add_task t (task : Machine.task) =
   match task with
@@ -156,7 +148,7 @@ let add_task t (task : Machine.task) =
 
 let add_machine t (m : Machine.t) =
   add_machine_name t m.name;
-  add_mid t (Mid.to_int m.self);
+  add_int t (Mid.to_int m.self);
   add_int t (List.length m.frames);
   List.iter
     (fun (fr : Machine.frame) ->
@@ -195,86 +187,33 @@ let add_machine t (m : Machine.t) =
       add_value t entry.payload)
     (Equeue.to_list m.queue)
 
-(** Every machine identifier held by [m] — its own [self] plus every
-    [Value.Machine] reference in its continuations, store, argument,
-    agenda, and queue — visited in exactly the order {!add_machine} emits
-    them. This is the reference order the symmetry renaming's traversal
-    follows, so it must be kept in lockstep with the encoding. *)
-let iter_machine_mids (m : Machine.t) (f : int -> unit) =
-  let value (v : Value.t) =
-    match v with Value.Machine id -> f (Mid.to_int id) | _ -> ()
-  in
-  let task (tk : Machine.task) =
-    match tk with Machine.Handle (_, v) -> value v | _ -> ()
-  in
-  f (Mid.to_int m.self);
-  List.iter (fun (fr : Machine.frame) -> List.iter task fr.fr_cont) m.frames;
-  Names.Var.Map.iter (fun _ v -> value v) m.store;
-  value m.arg;
-  List.iter task m.agenda;
-  List.iter (fun (entry : Equeue.entry) -> value entry.payload) (Equeue.to_list m.queue)
-
-let with_rename t rename f =
-  match rename with
-  | None -> f ()
-  | Some _ ->
-    t.rn <- rename;
-    Fun.protect ~finally:(fun () -> t.rn <- None) f
-
 (** [machine_digest t id m]: MD5 of the canonical encoding of the single
     machine [m] bound at [id] — the per-machine unit the incremental
     fingerprint caches. Mirrors exactly the per-machine segment of
-    {!digest}'s encoding. With [?rename] every machine identifier in the
-    encoding (the binding id included) goes through the renaming first. *)
-let machine_digest ?rename t (id : Mid.t) (m : Machine.t) : string =
-  with_rename t rename (fun () ->
-      Buffer.clear t.buf;
-      add_mid t (Mid.to_int id);
-      add_machine t m;
-      Digest.string (Buffer.contents t.buf))
-
-(** Identity-blind digest of one machine: the same encoding with every
-    machine identifier masked to a constant. Machines of one type that
-    differ only in which identities they hold collapse to one shape —
-    symmetry reduction sorts same-type machines by this key to pick a
-    canonical permutation without re-encoding per candidate order. *)
-let machine_shape_digest t (m : Machine.t) : string =
-  machine_digest ~rename:(fun _ -> 0) t Mid.first m
-
-(** Machine bindings in ascending order of their (possibly renamed) id —
-    the iteration order of the configuration encoding, which must follow
-    the *canonical* ids for renamed and identity digests of symmetric
-    configurations to collide. *)
-let sorted_bindings t (config : Config.t) =
-  match t.rn with
-  | None -> Config.fold (fun id m acc -> (id, m) :: acc) config [] |> List.rev
-  | Some f ->
-    Config.fold (fun id m acc -> (id, m) :: acc) config []
-    |> List.sort (fun (a, _) (b, _) ->
-           Int.compare (f (Mid.to_int a)) (f (Mid.to_int b)))
+    {!digest}'s encoding. *)
+let machine_digest t (id : Mid.t) (m : Machine.t) : string =
+  Buffer.clear t.buf;
+  add_int t (Mid.to_int id);
+  add_machine t m;
+  Digest.string (Buffer.contents t.buf)
 
 (** [digest t config extra]: MD5 of the canonical encoding of [config]
-    followed by the integers [extra] (used for the scheduler stack).
-    [?rename] digests the π-renamed configuration: ids mapped pointwise,
-    machines visited in renamed-id order. [extra] is *not* renamed here —
-    the caller owns its meaning and renames it if needed. *)
-let digest ?rename t (config : Config.t) (extra : int list) : string =
-  with_rename t rename (fun () ->
-      let bindings = sorted_bindings t config in
-      Buffer.clear t.buf;
-      add_int t (Mid.to_int config.next_id);
-      add_int t (Config.live_count config);
-      List.iter
-        (fun (id, m) ->
-          add_mid t (Mid.to_int id);
-          add_machine t m)
-        bindings;
-      add_int t (List.length extra);
-      List.iter (add_int t) extra;
-      (* Fault-point counter, appended only when a fault plan has consumed
-         indices, so fault-free digests are byte-compatible with every
-         artifact written before fault injection existed. Injective: [extra]
-         is length-prefixed, so a trailing varint cannot be confused with
-         extra content. *)
-      if config.fseq > 0 then add_int t config.fseq;
-      Digest.string (Buffer.contents t.buf))
+    followed by the integers [extra] (used for the scheduler stack). *)
+let digest t (config : Config.t) (extra : int list) : string =
+  Buffer.clear t.buf;
+  add_int t (Mid.to_int config.next_id);
+  add_int t (Config.live_count config);
+  Config.fold
+    (fun id m () ->
+      add_int t (Mid.to_int id);
+      add_machine t m)
+    config ();
+  add_int t (List.length extra);
+  List.iter (add_int t) extra;
+  (* Fault-point counter, appended only when a fault plan has consumed
+     indices, so fault-free digests are byte-compatible with every
+     artifact written before fault injection existed. Injective: [extra]
+     is length-prefixed, so a trailing varint cannot be confused with
+     extra content. *)
+  if config.fseq > 0 then add_int t config.fseq;
+  Digest.string (Buffer.contents t.buf)

@@ -11,27 +11,10 @@ val create : P_static.Symtab.t -> t
     not thread-safe: use one per domain (interning is deterministic, so
     separate encoders produce identical digests). *)
 
-val digest :
-  ?rename:(int -> int) -> t -> P_semantics.Config.t -> int list -> string
+val digest : t -> P_semantics.Config.t -> int list -> string
 (** [digest t config extra]: MD5 of the canonical encoding of [config]
-    followed by the integers [extra] (used for the scheduler stack).
-    [?rename] digests the π-renamed configuration (ids mapped pointwise,
-    machines visited in renamed-id order) without materializing it;
-    [extra] is not renamed — the caller owns its meaning. *)
+    followed by the integers [extra] (used for the scheduler stack). *)
 
-val machine_digest :
-  ?rename:(int -> int) ->
-  t -> P_semantics.Mid.t -> P_semantics.Machine.t -> string
+val machine_digest : t -> P_semantics.Mid.t -> P_semantics.Machine.t -> string
 (** MD5 of the canonical encoding of one machine binding — the unit the
     incremental {!Fingerprint} caches per physical machine value. *)
-
-val machine_shape_digest : t -> P_semantics.Machine.t -> string
-(** Identity-blind digest of one machine: the same encoding with every
-    machine identifier masked to a constant. Symmetry reduction's order
-    key for seeding the canonical traversal at unreferenced machines. *)
-
-val iter_machine_mids : P_semantics.Machine.t -> (int -> unit) -> unit
-(** Every machine identifier held by the machine — [self] plus each
-    [Value.Machine] reference in continuations, store, argument, agenda,
-    and queue — in exactly the order the canonical encoding emits them.
-    The reference order the symmetry renaming's traversal follows. *)

@@ -56,13 +56,13 @@ val explore :
     [fingerprint] selects the state-key strategy (default
     [Incremental]; see {!Fingerprint.mode}) — the verdict and counts are
     identical in every mode. [store] picks the seen-set representation
-    (default [Exact]; [Compact] and [Bitstate] trade ground truth for an
-    off-heap arena — see {!State_store} — and report their omission bound
-    in [stats.store]). [resolver] (default [Exhaustive]) switches
+    (default [Exact]; [Compact] trades ground truth for an off-heap arena
+    — see {!State_store} — and reports its omission bound in
+    [stats.store]). [resolver] (default [Exhaustive]) switches
     ghost [*] resolution to sampling — one drawn outcome per block instead
     of all of them — for seeded reproducible runs ([pc verify --seed]).
     [reduce] (default {!Reduce.none}) enables sleep-set partial-order
-    reduction and/or symmetry canonicalization — same verdict kind, never
+    reduction — same verdict kind, never
     more states; slept moves are counted in [stats.pruned]. [instr]
     reports metrics, a lifecycle span, and progress heartbeats while the
     search runs; the result is identical with or without it. *)

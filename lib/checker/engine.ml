@@ -168,11 +168,10 @@ type 'sched spec = {
   fp_mode : Fingerprint.mode;
   store : State_store.kind;  (** seen-set representation (default exact) *)
   store_capacity : int option;
-      (** arena slots/bits override; [None] sizes from [max_states] *)
+      (** compact arena slot override; [None] sizes from [max_states] *)
   reduce : Reduce.t;
-      (** state-space reduction: sleep-set POR and/or symmetry
-          canonicalization (default {!Reduce.none}, which reproduces the
-          unreduced engine byte for byte) *)
+      (** state-space reduction: sleep-set POR (default {!Reduce.none},
+          which reproduces the unreduced engine byte for byte) *)
   faults : P_semantics.Fault.plan option;
       (** deterministic fault injection, forwarded to [run_atomic];
           [None] (the default) reproduces the fault-free engine byte for
@@ -194,13 +193,11 @@ let spec ?(bound = max_int) ?(truncate_on_exhaust = false) ?(frontier = Bfs)
   (* Sleep-set POR argues two commuting blocks reach the same state in
      either order; with faults on, each block's fault decisions depend on
      the fault indices consumed before it, so swapping two blocks changes
-     which faults fire and the orders no longer commute. Symmetry stays
-     sound (decisions depend only on the index, never on identities). *)
+     which faults fire and the orders no longer commute. *)
   if faults <> None && reduce.Reduce.por then
     invalid_arg
       "Engine.spec: sleep-set POR is unsound under fault injection \
-       (fault-index consumption breaks commutativity); use --reduce none \
-       or --reduce symmetry";
+       (fault-index consumption breaks commutativity); use --reduce none";
   { scheduler;
     bound;
     truncate_on_exhaust;
@@ -248,7 +245,7 @@ type 'sched t = {
 
 (* A successor produced by expansion, not yet integrated (the same shape
    the parallel driver ships from its workers). The state key is either
-   [s_digest] (exact store) or [s_fp] (arena stores) — never both. *)
+   [s_digest] (exact store) or [s_fp] (compact store) — never both. *)
 type 'sched successor = {
   s_digest : string;  (* "" when failed, keyed by [s_fp], or seen set off *)
   s_fp : int;  (* 63-bit fingerprint; 0 when keyed by [s_digest] *)
@@ -282,23 +279,11 @@ let resolve ?on_overflow spec tab config mid : Search.resolved list =
     in
     [ go [] ]
 
-(* The state key of (config, sched) under the spec's store and reduction.
-   Without symmetry it is byte-identical to the unreduced engine's key.
-   Symmetry computes the canonical renaming from the configuration alone
-   and applies it both inside the fingerprint and to the scheduler extras
-   (stack entries denote machine identifiers), so isomorphic
-   (config, stack) pairs collide. *)
+(* The state key of (config, sched) under the spec's store. *)
 let state_key (spec : 'sched spec) fp config sched =
-  let rename =
-    if spec.reduce.Reduce.symmetry then Fingerprint.renaming fp config else None
-  in
   let extras = spec.scheduler.encode sched in
-  let extras =
-    match rename with None -> extras | Some rn -> List.map rn extras
-  in
-  if spec.store = State_store.Exact then
-    (Fingerprint.digest ?rename fp config extras, 0)
-  else ("", Fingerprint.digest_int ?rename fp config extras)
+  if spec.store = State_store.Exact then (Fingerprint.digest fp config extras, 0)
+  else ("", Fingerprint.digest_int fp config extras)
 
 (* Expand one node into raw successors. Pure apart from the fingerprint
    cache and the optional per-resolution counter, both of which are
@@ -527,22 +512,15 @@ let integrate (t : 'sched t) ~push (s : 'sched successor) =
       match expand_as with None -> () | Some sidx -> enqueue sidx
     end
 
-(* Guards shared by both drivers: the lossy stores cannot support every
-   spec. Budgets past the compact store's 15-bit spent field would break
-   the min-spent merge rule silently; observers need real state indices,
-   which bitstate never has. *)
-let check_store_spec ?observer (spec : 'sched spec) =
-  if spec.store <> State_store.Exact then begin
-    if spec.bound > State_store.max_exact_spent then
-      invalid_arg
-        (Printf.sprintf
-           "Engine: the %s store tracks budgets up to %d (bound %d given); \
-            use --store exact"
-           (State_store.kind_to_string spec.store)
-           State_store.max_exact_spent spec.bound);
-    if spec.store = State_store.Bitstate && observer <> None then
-      invalid_arg "Engine: the bitstate store keeps no state indices for observers"
-  end
+(* Guard shared by both drivers: budgets past the compact store's 15-bit
+   spent field would break the min-spent merge rule silently. *)
+let check_store_spec (spec : 'sched spec) =
+  if spec.store = State_store.Compact && spec.bound > State_store.max_exact_spent then
+    invalid_arg
+      (Printf.sprintf
+         "Engine: the compact store tracks budgets up to %d (bound %d given); \
+          use --store exact"
+         State_store.max_exact_spent spec.bound)
 
 let make_store ?observer ~workers ~profile (spec : 'sched spec) =
   if not spec.track_seen then None
@@ -558,7 +536,7 @@ let root_key (spec : 'sched spec) fp config0 sched0 =
 
 (* Shared prologue: context, root node, root bookkeeping. *)
 let init_run ?observer ~instr ~engine (spec : 'sched spec) tab ~fp =
-  check_store_spec ?observer spec;
+  check_store_spec spec;
   let stats = Search.new_stats () in
   let t =
     { tab;

@@ -104,15 +104,13 @@ type 'sched spec = {
   max_depth : int;
   fp_mode : Fingerprint.mode;
   store : State_store.kind;
-      (** seen-set representation: [Exact] (default, ground truth),
-          [Compact] (off-heap fingerprint arena), or [Bitstate]
-          (supertrace bit array with a reported omission bound) *)
+      (** seen-set representation: [Exact] (default, ground truth) or
+          [Compact] (off-heap fingerprint arena) *)
   store_capacity : int option;
-      (** arena slots/bits override; [None] sizes from [max_states] *)
+      (** compact arena slot override; [None] sizes from [max_states] *)
   reduce : Reduce.t;
       (** state-space reduction: sleep-set POR over the scheduler's choice
-          points and/or symmetry canonicalization of machine identities
-          (default {!Reduce.none}). Reduced runs reach the same verdict
+          points (default {!Reduce.none}). Reduced runs reach the same verdict
           kind with never more states; the sleep set is part of the state
           key, so expansion stays a pure function of the key and
           {!run_parallel}'s determinism contract is preserved. *)
@@ -147,17 +145,14 @@ val spec :
     Combining an active plan with sleep-set POR raises
     [Invalid_argument]: fault decisions are indexed by the order blocks
     execute in, so commuting two blocks changes which faults fire and
-    the independence argument breaks. Symmetry reduction remains sound.
+    the independence argument breaks.
 
-    Non-exact stores refuse (at run time, [Invalid_argument]) specs whose
-    [bound] exceeds {!State_store.max_exact_spent} — the compact slot
-    word keeps 15 bits of budget — and the bitstate store refuses
-    observers (it keeps no state indices). A run with a non-exact store
-    keys states by a 63-bit {!Fingerprint.digest_int}; compact runs merge
-    distinct states only on a 47-bit tag collision at the same slot
-    (expected pairs n²/2⁴⁸, reported as the summary's omission bound),
-    bitstate runs merge at the Bloom-filter rate and report
-    [dups × occupancy^k]. *)
+    The compact store refuses (at run time, [Invalid_argument]) specs
+    whose [bound] exceeds {!State_store.max_exact_spent} — its slot word
+    keeps 15 bits of budget. A compact run keys states by a 63-bit
+    {!Fingerprint.digest_int} and merges distinct states only on a 47-bit
+    tag collision at the same slot (expected pairs n²/2⁴⁸, reported as the
+    summary's omission bound). *)
 
 val run :
   ?instr:Search.instr ->

@@ -20,7 +20,7 @@
     where [md5(machine_i)] is {!Canon.machine_digest} of that binding. The
     per-machine digests are fixed-width, so the combine is injective in
     them; the whole key is as collision-resistant as [Canon.digest] itself
-    (both stand on MD5). Incremental and full digests of the same
+    (both stand on MD5). Incremental and reference digests of the same
     configuration are *different strings* — an engine must use one mode for
     a whole run, which they do.
 
@@ -42,34 +42,32 @@
     domains; only the hit/miss *split* can vary run to run, by which
     domain wins a memo-fill race.)
 
-    [Paranoid] computes both fingerprints for every query, returns the full
-    one (so a paranoid run is bit-for-bit a [Full] run), and checks the two
-    stay in bijection: a violation means either an MD5 collision or a stale
-    cache entry (i.e. a broken sharing guarantee), and is counted in
-    {!collisions}. *)
+    [Paranoid] computes both fingerprints for every query, returns the
+    reference [Canon.digest] one, and checks the two stay in bijection: a
+    violation means either an MD5 collision or a stale cache entry (i.e. a
+    broken sharing guarantee), and is counted in {!collisions}. *)
 
 module Config = P_semantics.Config
 module Machine = P_semantics.Machine
 module Mid = P_semantics.Mid
 
-type mode = Full | Incremental | Paranoid
+type mode = Incremental | Paranoid
 
 let mode_to_string = function
-  | Full -> "full"
   | Incremental -> "incremental"
   | Paranoid -> "paranoid"
 
 let mode_of_string = function
-  | "full" -> Ok Full
   | "incremental" -> Ok Incremental
   | "paranoid" -> Ok Paranoid
-  | s -> Error (Printf.sprintf "unknown fingerprint mode %S" s)
+  | s ->
+    Error (Printf.sprintf "unknown fingerprint mode %S (expected incremental|paranoid)" s)
 
 type t = {
   canon : Canon.t;
   mode : mode;
   buf : Buffer.t;
-  (* paranoid-mode bijection witnesses: incremental <-> full *)
+  (* paranoid-mode bijection witnesses: incremental <-> reference *)
   incr_to_full : (string, string) Hashtbl.t;
   full_to_incr : (string, string) Hashtbl.t;
   mutable requests : int;
@@ -120,105 +118,11 @@ let machine_digest t id (m : Machine.t) =
     d
   end
 
-(* Identity-blind per-machine shape, memoised like the digest: the order
-   key for seeding the canonical traversal at unreferenced machines. *)
-let shape_digest t (m : Machine.t) =
-  let memo = m.Machine.shape_memo in
-  if String.length memo <> 0 then memo
-  else begin
-    let d = Canon.machine_shape_digest t.canon m in
-    m.Machine.shape_memo <- d;
-    d
-  end
-
-(** [renaming t config]: the canonical permutation π of live machine
-    identifiers for symmetry reduction, or [None] when it is the
-    identity.
-
-    π is chosen by traversal order: the live identifiers sorted ascending
-    are the canonical slots, handed out in first-visit order of a
-    breadth-first walk over the machine-reference graph — start at the
-    root machine (identifier 0, the machine [Step.initial_config]
-    creates), follow each visited machine's references in encoding order
-    ({!Canon.iter_machine_mids}), and when the walk exhausts a component,
-    reseed at the unvisited machine with the least (shape digest,
-    identifier) key. Two configurations that differ only in the ghost
-    creation order of otherwise-indistinguishable machines traverse
-    isomorphically and land on the same canonical encoding.
-
-    Soundness needs none of that: π permutes the live identifiers among
-    themselves and leaves dangling (deleted) identifiers fixed — so
-    renamed-live and dangling references can never collide — and the
-    canonical digest is the injective encoding of the π-renamed
-    configuration. Equal canonical keys therefore witness genuinely
-    isomorphic configurations for *any* such π; the traversal choice only
-    decides how many isomorphic states actually merge, and a heuristic
-    miss (e.g. the shape tie-break falling back to raw identifiers)
-    costs a missed merge, never a wrong one. *)
-let renaming t (config : Config.t) : (int -> int) option =
-  let live = List.rev (Config.fold (fun id _ acc -> Mid.to_int id :: acc) config []) in
-  match live with
-  | [] | [ _ ] -> None
-  | _ ->
-    let slots = Array.of_list live in
-    let n = Array.length slots in
-    let map = Hashtbl.create n in
-    let next = ref 0 in
-    let queue = Queue.create () in
-    let visit id =
-      if (not (Hashtbl.mem map id)) && Config.mem config (Mid.of_int id) then begin
-        Hashtbl.replace map id slots.(!next);
-        incr next;
-        Queue.add id queue
-      end
-    in
-    let drain () =
-      while not (Queue.is_empty queue) do
-        let id = Queue.pop queue in
-        match Config.find config (Mid.of_int id) with
-        | Some m -> Canon.iter_machine_mids m visit
-        | None -> ()
-      done
-    in
-    visit (Mid.to_int Mid.first);
-    drain ();
-    while !next < n do
-      (* reseed at the least-(shape, id) unvisited machine *)
-      let best = ref None in
-      List.iter
-        (fun id ->
-          if not (Hashtbl.mem map id) then
-            match Config.find config (Mid.of_int id) with
-            | None -> ()
-            | Some m ->
-              let key = (shape_digest t m, id) in
-              (match !best with
-              | Some (k, _) when compare k key <= 0 -> ()
-              | _ -> best := Some (key, id)))
-        live;
-      match !best with
-      | None -> assert false (* !next < n means an unvisited live id exists *)
-      | Some (_, id) ->
-        visit id;
-        drain ()
-    done;
-    if Hashtbl.fold (fun id slot acc -> acc && id = slot) map true then None
-    else Some (fun i -> match Hashtbl.find_opt map i with Some j -> j | None -> i)
-
-let incremental ?rename t (config : Config.t) (extra : int list) : string =
+let incremental t (config : Config.t) (extra : int list) : string =
   Buffer.clear t.buf;
   add_int t.buf (Mid.to_int config.next_id);
   add_int t.buf (Config.live_count config);
-  (match rename with
-  | None ->
-    Config.fold (fun id m () -> Buffer.add_string t.buf (machine_digest t id m)) config ()
-  | Some rn ->
-    (* renamed ids reorder the machines; the memo holds identity-renamed
-       digests, so each machine is re-encoded under π *)
-    Config.fold (fun id m acc -> (rn (Mid.to_int id), id, m) :: acc) config []
-    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-    |> List.iter (fun (_, id, m) ->
-           Buffer.add_string t.buf (Canon.machine_digest ~rename:rn t.canon id m)));
+  Config.fold (fun id m () -> Buffer.add_string t.buf (machine_digest t id m)) config ();
   add_int t.buf (List.length extra);
   List.iter (add_int t.buf) extra;
   (* mirrors Canon.digest: fault counter appended only when nonzero *)
@@ -261,13 +165,12 @@ let finalize h =
   let h = h * 0x14d049bb133111eb land max_int in
   h lxor (h lsr 31)
 
-let digest ?rename t (config : Config.t) (extra : int list) : string =
+let digest t (config : Config.t) (extra : int list) : string =
   match t.mode with
-  | Full -> Canon.digest ?rename t.canon config extra
-  | Incremental -> incremental ?rename t config extra
+  | Incremental -> incremental t config extra
   | Paranoid ->
-    let inc = incremental ?rename t config extra in
-    let full = Canon.digest ?rename t.canon config extra in
+    let inc = incremental t config extra in
+    let full = Canon.digest t.canon config extra in
     (match Hashtbl.find_opt t.incr_to_full inc with
     | Some full' when not (String.equal full full') ->
       t.collisions <- t.collisions + 1
@@ -280,29 +183,19 @@ let digest ?rename t (config : Config.t) (extra : int list) : string =
     | None -> Hashtbl.add t.full_to_incr full inc);
     full
 
-(** A 63-bit integer fingerprint of [config], for the compact and
-    bitstate stores. [Incremental] streams the per-machine digest cache
-    straight into the hash with no per-state string; [Full]/[Paranoid]
-    hash the canonical digest string (keeping paranoid's bijection
-    check), so every mode still keys on the same canonical encoding. *)
-let digest_int ?rename t (config : Config.t) (extra : int list) : int =
+(** A 63-bit integer fingerprint of [config], for the compact store.
+    [Incremental] streams the per-machine digest cache straight into the
+    hash with no per-state string; [Paranoid] hashes the reference digest
+    string (keeping its bijection check), so every mode still keys on the
+    same canonical encoding. *)
+let digest_int t (config : Config.t) (extra : int list) : int =
   match t.mode with
-  | Full | Paranoid ->
-    finalize (fnv_string fnv_basis (digest ?rename t config extra))
+  | Paranoid -> finalize (fnv_string fnv_basis (digest t config extra))
   | Incremental ->
     let h = fnv_int fnv_basis (Mid.to_int config.next_id) in
     let h = fnv_int h (Config.live_count config) in
     let h =
-      match rename with
-      | None ->
-        Config.fold (fun id m h -> fnv_string h (machine_digest t id m)) config h
-      | Some rn ->
-        Config.fold (fun id m acc -> (rn (Mid.to_int id), id, m) :: acc) config []
-        |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-        |> List.fold_left
-             (fun h (_, id, m) ->
-               fnv_string h (Canon.machine_digest ~rename:rn t.canon id m))
-             h
+      Config.fold (fun id m h -> fnv_string h (machine_digest t id m)) config h
     in
     let h = fnv_int h (List.length extra) in
     let h = List.fold_left fnv_int h extra in

@@ -1,8 +1,7 @@
 (** Incremental state fingerprinting for the exploration engines' seen
     sets.
 
-    [Full] is the historical behavior: every query re-encodes the whole
-    configuration through {!Canon.digest}. [Incremental] memoises a
+    [Incremental] memoises a
     {!Canon.machine_digest} per *physical* machine value, in the machine's
     own [digest_memo] slot — sound because every rebuilt machine enters a
     configuration through [Config.update], which resets the slot, while
@@ -10,9 +9,9 @@
     not touch — and combines the memoised per-machine digests with
     [next_id], the live count, and the scheduler extra, making a successor
     fingerprint O(machines-changed) encoding work instead of
-    O(state-size). [Paranoid] computes both, returns the full digest (a
-    paranoid run explores exactly what a [Full] run does), and counts any
-    break of the incremental↔full bijection in {!collisions}.
+    O(state-size). [Paranoid] also re-encodes the whole configuration
+    through the reference {!Canon.digest}, returns that digest, and counts
+    any break of the incremental↔reference bijection in {!collisions}.
 
     Within one mode, equal fingerprints mean equal states up to MD5
     collision, exactly like [Canon.digest]; fingerprints from different
@@ -20,7 +19,7 @@
     and single-domain: use one per worker (digests are canonical, so
     separate instances produce identical keys). *)
 
-type mode = Full | Incremental | Paranoid
+type mode = Incremental | Paranoid
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> (mode, string) result
@@ -35,37 +34,18 @@ val create : ?mode:mode -> P_static.Symtab.t -> t
 
 val mode : t -> mode
 
-val renaming : t -> P_semantics.Config.t -> (int -> int) option
-(** Symmetry reduction's canonical permutation of machine identifiers for
-    this configuration, or [None] when it is already canonical. The live
-    identifiers (sorted) are handed out in first-visit order of a
-    breadth-first walk over the machine-reference graph from the root
-    machine, reseeded at orphans by a memoised identity-blind shape
-    digest; dangling identifiers stay fixed. Equal canonical keys witness
-    isomorphic configurations for any such permutation — the traversal
-    choice only decides how many actually merge. Pass the result as
-    [?rename] to {!digest}/{!digest_int} (and apply it yourself to any
-    scheduler [extra] integers that denote machine identifiers). *)
-
-val digest :
-  ?rename:(int -> int) -> t -> P_semantics.Config.t -> int list -> string
+val digest : t -> P_semantics.Config.t -> int list -> string
 (** [digest t config extra]: the state key of [config] plus the scheduler
-    [extra] integers, per the context's mode. With [?rename] the key is
-    that of the π-renamed configuration; the per-machine memo is bypassed
-    (it caches identity-renamed digests), but the key equals what the
-    same context would produce for the materialized canonical
-    configuration — renamed and identity keys of isomorphic states
-    collide, which is the whole point. *)
+    [extra] integers, per the context's mode. *)
 
-val digest_int :
-  ?rename:(int -> int) -> t -> P_semantics.Config.t -> int list -> int
-(** A 63-bit integer fingerprint of the same state key, for the arena
-    state stores ({!State_store}): [Incremental] streams the memoised
+val digest_int : t -> P_semantics.Config.t -> int list -> int
+(** A 63-bit integer fingerprint of the same state key, for the compact
+    state store ({!State_store}): [Incremental] streams the memoised
     per-machine digests straight into a FNV-1a hash with no per-state
-    string; [Full]/[Paranoid] hash the canonical digest string (paranoid
-    keeps its bijection check). Same mode caveat as {!digest}: integer
-    and string fingerprints of different modes are not comparable, and
-    within a store one run uses one of the two key forms throughout. *)
+    string; [Paranoid] hashes the reference digest string (keeping its
+    bijection check). Integer and string fingerprints of different modes
+    are not comparable, and within a store one run uses one of the two key
+    forms throughout. *)
 
 val requests : t -> int
 (** Per-machine digest lookups made through this context (incremental and
@@ -85,6 +65,6 @@ val misses : t -> int
 (** Per-machine encodings that had to be computed. *)
 
 val collisions : t -> int
-(** Paranoid mode only: incremental↔full bijection violations observed.
+(** Paranoid mode only: incremental↔reference bijection violations observed.
     Anything other than zero indicates an MD5 collision or a stale cache
     entry. *)

@@ -60,10 +60,10 @@ val explore :
     an off-heap arena — no shard mutexes, no [shard_lock] profile phase —
     while keeping the same min-spent merge rule and the same
     domain-count-independent triple. [reduce] (default {!Reduce.none})
-    applies the same sleep-set POR / symmetry canonicalization as the
-    sequential engine; because the sleep set is part of the state key,
-    reduced runs keep the full determinism contract, and a counterexample
-    is still re-derived sequentially under the same reduction.
+    applies the same sleep-set POR as the sequential engine; because the
+    sleep set is part of the state key, reduced runs keep the full
+    determinism contract, and a counterexample is still re-derived
+    sequentially under the same reduction.
 
     With [instr] metrics on, workers additionally count
     [checker.expansions], [checker.steals], [checker.steal_attempts],

@@ -1,68 +1,42 @@
-(** State-space reduction policies for the unified exploration engine.
-
-    Two orthogonal reductions, selectable independently:
-
-    - {b Sleep-set partial-order reduction} over the engine's scheduler
-      choice points, applied parent-side: when the engine expands a state
-      it executes every scheduler move; a move whose dynamic footprint
-      (the machines its block ran on, sent to, spawned or deleted —
-      {!footprint}) is disjoint from an earlier surviving move's commutes
-      with it, and is pruned together with its successors — the covering
-      branch reaches the commuted image of everything the pruned branch
-      would have visited, one rotation later. A pruned successor is never
-      keyed and never claimed in the store, so the reduced state set is a
-      subset of the unreduced one. Pruning is a pure function of the
-      expanded state, which keeps the work-stealing engine's determinism
-      contract intact. Under a finite delay budget the covering schedule
-      can cost one more delay than the pruned one, so an error sitting
-      exactly at the budget boundary may move to the next bound — the
-      differential suite (every example, every buggy variant, the
-      quickcheck corpus) arbitrates that this never changes a verdict.
-
-    - {b Symmetry canonicalization} over machine identities: before
-      fingerprinting, live machine identifiers are renamed into a
-      canonical permutation ({!Fingerprint.renaming}) so configurations
-      differing only in which identity plays which role — typically twins
-      created by different interleavings of the same [new] statements —
-      collapse to one state.
-
-    Both are validated differentially: the quickcheck harness and the
-    engine tests require reduced runs to reach the same verdict as
-    unreduced ones on every example and generated program, with never
-    more states. *)
+(** State-space reduction for the unified exploration engine: sleep-set
+    partial-order reduction over the engine's scheduler choice points,
+    applied parent-side. When the engine expands a state it executes every
+    scheduler move; a move whose dynamic footprint (the machines its block
+    ran on, sent to, spawned or deleted — {!footprint}) is disjoint from an
+    earlier surviving move's commutes with it, and is pruned together with
+    its successors — the covering branch reaches the commuted image of
+    everything the pruned branch would have visited, one rotation later. A
+    pruned successor is never keyed and never claimed in the store, so the
+    reduced state set is a subset of the unreduced one. Pruning is a pure
+    function of the expanded state, which keeps the work-stealing engine's
+    determinism contract intact. Under a finite delay budget the covering
+    schedule can cost one more delay than the pruned one, so an error
+    sitting exactly at the budget boundary may move to the next bound —
+    the differential suite (every example, every buggy variant, the
+    quickcheck corpus) arbitrates that this never changes a verdict, with
+    never more states. *)
 
 module Mid = P_semantics.Mid
 module Trace = P_semantics.Trace
 module Step = P_semantics.Step
 
-type t = { por : bool; symmetry : bool }
+type t = { por : bool }
 
-let none = { por = false; symmetry = false }
-let por = { por = true; symmetry = false }
-let symmetry = { por = false; symmetry = true }
-let full = { por = true; symmetry = true }
+let none = { por = false }
+let por = { por = true }
 
-let is_none r = not (r.por || r.symmetry)
+let is_none r = not r.por
 
-let to_string r =
-  match (r.por, r.symmetry) with
-  | false, false -> "none"
-  | true, false -> "por"
-  | false, true -> "symmetry"
-  | true, true -> "full"
+let to_string r = if r.por then "por" else "none"
 
 let of_string = function
   | "none" -> Ok none
   | "por" -> Ok por
-  | "symmetry" -> Ok symmetry
-  | "full" -> Ok full
-  | s ->
-    Error
-      (Printf.sprintf "unknown reduction mode %S (expected none|por|symmetry|full)" s)
+  | s -> Error (Printf.sprintf "unknown reduction mode %S (expected none|por)" s)
 
 let pp ppf r = Fmt.string ppf (to_string r)
 
-let all = [ none; por; symmetry; full ]
+let all = [ none; por ]
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic footprints                                                  *)

@@ -1,34 +1,29 @@
-(** State-space reduction policies for the exploration engines: sleep-set
-    partial-order reduction over scheduler choice points (applied
+(** State-space reduction for the exploration engines: sleep-set
+    partial-order reduction over scheduler choice points, applied
     parent-side — a pruned move's successors are never keyed or claimed,
-    so the reduced state set is a subset of the unreduced one) and
-    symmetry canonicalization over machine identities, independently
-    selectable.
+    so the reduced state set is a subset of the unreduced one.
 
-    Both reductions preserve the verdict kind — an error is found iff the
+    The reduction preserves the verdict kind — an error is found iff the
     unreduced search finds one (up to the delay-budget caveat documented
-    in DESIGN.md) — while exploring never more states. Pruning and
-    canonicalization are pure functions of the expanded state, so the
-    work-stealing engine's determinism contract survives reduction
-    unchanged. *)
+    in DESIGN.md) — while exploring never more states. Pruning is a pure
+    function of the expanded state, so the work-stealing engine's
+    determinism contract survives reduction unchanged. *)
 
-type t = { por : bool; symmetry : bool }
+type t = { por : bool }
 
 val none : t
 val por : t
-val symmetry : t
-val full : t
 
 val is_none : t -> bool
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-(** Accepts [none|por|symmetry|full]. *)
+(** Accepts [none|por]. *)
 
 val pp : t Fmt.t
 
 val all : t list
-(** The four modes, [none] first — the differential test axis. *)
+(** Both modes, [none] first — the differential test axis. *)
 
 (** {2 Engine-side machinery}
 

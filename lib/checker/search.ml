@@ -93,17 +93,12 @@ let pp_stats ppf s =
     s.elapsed_s;
   if s.pruned > 0 then Fmt.pf ppf " [%d moves slept]" s.pruned;
   if s.faults > 0 then Fmt.pf ppf " [%d faults injected]" s.faults;
-  (* the default exact store is the historical output; only the lossy
-     stores announce themselves (and their honesty bound) *)
+  (* the default exact store is the historical output; only the compact
+     store announces itself (and its honesty bound) *)
   match s.store with
   | Some st when st.State_store.s_kind <> "exact" ->
     Fmt.pf ppf " [store %s, %.1f MB" st.State_store.s_kind
       (float_of_int st.State_store.s_bytes /. 1e6);
-    (* bitstate keeps no budget, so every merged answer may hide a state
-       exact would have (re-)expanded; the probabilistic bound covers only
-       the hash false positives on top of that *)
-    if st.State_store.s_lossy_dups > 0 then
-      Fmt.pf ppf ", approximate: %d lossy merges" st.State_store.s_lossy_dups;
     if st.State_store.s_omission_bound > 0.0 then
       Fmt.pf ppf ", expected hash omissions <= %.3g"
         st.State_store.s_omission_bound;

@@ -2,7 +2,7 @@
 
     Every systematic engine asks one question millions of times: "was this
     state seen before, and at what minimal budget?" This module answers it
-    behind one [claim] call with three interchangeable representations:
+    behind one [claim] call with two interchangeable representations:
 
     - {b Exact} — the ground truth: a hashtable keyed on the full 16-byte
       MD5 digest string, mapping to [(dense state index, minimal budget
@@ -23,46 +23,29 @@
       at a million states, which is why the differential tests can demand
       byte-identical triples vs Exact and pass.
 
-    - {b Bitstate} — Holzmann's supertrace: a double-hashed Bloom filter
-      over the same arena ([k = 3] probes per state). Smallest possible
-      footprint and an {e explicit} omission bound: every "seen" answer
-      had probability ≤ (occupancy)^k of being a false positive, so the
-      summary reports [dups × p] as the expected number of wrongly-merged
-      states. A bitstate run can therefore miss states (and with them
-      errors) — flagged, never silent — but a found error is always real:
-      the store only ever answers membership, it cannot un-find a failing
-      edge. Bitstate keeps no spent values, so the min-spent re-expansion
-      rule degrades to "first visit wins" (more omission, also flagged by
-      the same bound).
-
     The [claim] contract (all representations):
     - [New]: the caller now owns this state — exactly one claimant per
       state per run, even under concurrent claims (CAS-arbitrated).
     - [Dup sidx]: seen before at a budget ≤ [spent]; [sidx] is the dense
       state index recorded at first claim, or [-1] if this representation
-      does not keep one (compact without [need_sidx], bitstate).
+      does not keep one (compact without [need_sidx]).
     - [Reexpand sidx]: seen before but only at a strictly larger budget;
       the record was lowered to [spent] and the caller should re-expand.
     - [Dropped]: the fixed-capacity arena is full; the caller must mark
       the run truncated (exactly like exhausting [max_states]).
 
-    Parallel bitstate claims are {e not} linearizable per state (two
-    workers racing on the same state across k bits can both see [New]);
-    the engines therefore only drive Bitstate from one worker. Exact and
-    Compact are single-winner under any number of workers. *)
+    Both representations are single-winner under any number of workers. *)
 
-type kind = Exact | Compact | Bitstate
+type kind = Exact | Compact
 
 let kind_to_string = function
   | Exact -> "exact"
   | Compact -> "compact"
-  | Bitstate -> "bitstate"
 
 let kind_of_string = function
   | "exact" -> Ok Exact
   | "compact" -> Ok Compact
-  | "bitstate" -> Ok Bitstate
-  | s -> Error (Printf.sprintf "unknown state store %S (exact|compact|bitstate)" s)
+  | s -> Error (Printf.sprintf "unknown state store %S (expected exact|compact)" s)
 
 type claim = New | Dup of int | Reexpand of int | Dropped
 
@@ -76,9 +59,6 @@ external arena_get : arena -> int -> int = "pcaml_store_get" [@@noalloc]
 external arena_set : arena -> int -> int -> unit = "pcaml_store_set" [@@noalloc]
 
 external arena_cas : arena -> int -> int -> int -> bool = "pcaml_store_cas"
-  [@@noalloc]
-
-external arena_fetch_or : arena -> int -> int -> int = "pcaml_store_fetch_or"
   [@@noalloc]
 
 let make_arena words =
@@ -214,87 +194,33 @@ let compact_claim (c : compact) ~worker ~fp ~spent ~new_sidx : claim =
   probe (fp land c.c_mask) 0
 
 (* ------------------------------------------------------------------ *)
-(* Bitstate                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* 32 usable bits per 64-bit arena word: bit masks must stay immediate
-   OCaml ints, and [1 lsl 63] is not one. The factor-of-two padding is
-   reported honestly in [bytes]. *)
-let bits_per_word_shift = 5
-
-let bitstate_hashes = 3
-
-type bitstate = {
-  b_bits : arena;
-  b_mask : int;  (* bit-count - 1; bit count is a power of two *)
-  b_set : int array;  (* per worker: bits newly set *)
-  b_new : int array;  (* per worker: states claimed *)
-  b_dups : int array;  (* per worker: "seen" answers (each a possible FP) *)
-}
-
-(* splitmix-style avalanche for the second, independent probe stride *)
-let remix h =
-  let h = h lxor (h lsr 30) in
-  let h = h * 0x3f58476d1ce4e5b9 land max_int in
-  let h = h lxor (h lsr 27) in
-  let h = h * 0x14d049bb133111eb land max_int in
-  h lxor (h lsr 31)
-
-let bitstate_claim (b : bitstate) ~worker ~fp : claim =
-  let h2 = remix fp lor 1 in
-  let all_set = ref true in
-  for j = 0 to bitstate_hashes - 1 do
-    let pos = (fp + (j * h2)) land b.b_mask in
-    let w = arena_get b.b_bits (pos lsr bits_per_word_shift) in
-    if w land (1 lsl (pos land 31)) = 0 then all_set := false
-  done;
-  if !all_set then begin
-    b.b_dups.(worker) <- b.b_dups.(worker) + 1;
-    Dup (-1)
-  end
-  else begin
-    for j = 0 to bitstate_hashes - 1 do
-      let pos = (fp + (j * h2)) land b.b_mask in
-      let mask = 1 lsl (pos land 31) in
-      let old = arena_fetch_or b.b_bits (pos lsr bits_per_word_shift) mask in
-      if old land mask = 0 then b.b_set.(worker) <- b.b_set.(worker) + 1
-    done;
-    b.b_new.(worker) <- b.b_new.(worker) + 1;
-    New
-  end
-
-(* ------------------------------------------------------------------ *)
 (* The store                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type repr = R_exact of exact | R_compact of compact | R_bitstate of bitstate
+type repr = R_exact of exact | R_compact of compact
 
 type t = { kind : kind; repr : repr; capacity : int }
 
 let kind_of t = t.kind
 let kind_name t = kind_to_string t.kind
 
-(** Exact keys on the digest string; the arena stores key on the integer
-    fingerprint alone and never touch the string. *)
+(** Exact keys on the digest string; the compact store keys on the
+    integer fingerprint alone and never touches the string. *)
 let needs_string t = t.kind = Exact
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-(** Slot count (Compact) or bit count (Bitstate) sized from the state
-    budget: 1.5 slots per possible state (≤ 67% load at a full run), 64
-    bits per state (k=3 false-positive rate ≈ 1e-4). Both clamp to a
-    256 MiB arena so an uncapped run cannot demand unbounded memory —
-    past the clamp the store answers [Dropped] and the run reports
-    truncation, exactly like exhausting [max_states]. *)
+(** Compact slot count sized from the state budget: 1.5 slots per
+    possible state (≤ 67% load at a full run), clamped to a 256 MiB arena
+    so an uncapped run cannot demand unbounded memory — past the clamp the
+    store answers [Dropped] and the run reports truncation, exactly like
+    exhausting [max_states]. *)
 let default_capacity ~kind ~max_states =
   match kind with
   | Exact -> 0
   | Compact ->
     if max_states >= 1 lsl 24 then 1 lsl 25
     else pow2_at_least (max 4096 (max_states + (max_states lsr 1) + 64)) 4096
-  | Bitstate ->
-    if max_states >= 1 lsl 25 then 1 lsl 31
-    else pow2_at_least (max 65536 (64 * max_states)) 65536
 
 let create ?capacity ?(need_sidx = false) ?(profile = P_obs.Profile.null)
     ~kind ~workers ~max_states () : t =
@@ -340,29 +266,15 @@ let create ?capacity ?(need_sidx = false) ?(profile = P_obs.Profile.null)
             c_retries = Array.make workers 0;
             c_dropped = false };
       capacity }
-  | Bitstate ->
-    if need_sidx then
-      invalid_arg "State_store.create: the bitstate store keeps no state indices";
-    let words = capacity lsr bits_per_word_shift in
-    { kind;
-      repr =
-        R_bitstate
-          { b_bits = make_arena words;
-            b_mask = capacity - 1;
-            b_set = Array.make workers 0;
-            b_new = Array.make workers 0;
-            b_dups = Array.make workers 0 };
-      capacity }
 
 (** Claim [digest]/[fp] at budget [spent] for [worker]. [new_sidx] is the
     dense index this state receives if the claim answers [New]; only
     sidx-tracking representations record it. Exact reads [digest] and
-    ignores [fp]; the arena stores read [fp] and ignore [digest]. *)
+    ignores [fp]; the compact store reads [fp] and ignores [digest]. *)
 let claim t ~worker ~digest ~fp ~spent ~new_sidx : claim =
   match t.repr with
   | R_exact e -> exact_claim e ~worker ~digest ~spent ~new_sidx
   | R_compact c -> compact_claim c ~worker ~fp ~spent ~new_sidx
-  | R_bitstate b -> bitstate_claim b ~worker ~fp
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)
@@ -370,22 +282,13 @@ let claim t ~worker ~digest ~fp ~spent ~new_sidx : claim =
 
 type summary = {
   s_kind : string;
-  s_capacity : int;  (** slots (compact), bits (bitstate), buckets (exact) *)
-  s_entries : int;  (** states recorded (bitstate: bits set) *)
+  s_capacity : int;  (** slots (compact), buckets (exact) *)
+  s_entries : int;  (** states recorded *)
   s_bytes : int;  (** measured (arena) or estimated (exact) footprint *)
   s_occupancy : float;  (** entries / capacity *)
   s_omission_bound : float;
       (** expected states wrongly merged by hashing: 0 for exact, the
-          n²/2⁴⁸ tag birthday bound for compact, dups × (occupancy)^k for
-          bitstate *)
-  s_lossy_dups : int;
-      (** bitstate only: "seen" answers, {e every one} of which may hide a
-          state the exact store would have expanded or re-expanded —
-          bitstate keeps no budget, so its first-visit-wins rule loses the
-          min-spent re-expansions on top of the Bloom false positives.
-          Nonzero means the run is approximate regardless of how small
-          [s_omission_bound] is; [0] means the bitstate run provably
-          explored exactly what exact would (no merge ever answered). *)
+          n²/2⁴⁸ tag birthday bound for compact *)
   s_contention : int;  (** exact: blocked shard-lock acquisitions *)
   s_cas_retries : int;  (** compact: lost CAS races *)
   s_dropped : bool;  (** the arena filled up; the run is truncated *)
@@ -404,7 +307,6 @@ let summary t : summary =
       s_occupancy =
         (if buckets = 0 then 0.0 else float_of_int entries /. float_of_int buckets);
       s_omission_bound = 0.0;
-      s_lossy_dups = 0;
       s_contention = sum e.e_contention;
       s_cas_retries = 0;
       s_dropped = false }
@@ -419,28 +321,9 @@ let summary t : summary =
         + (match c.c_sidx with None -> 0 | Some _ -> t.capacity * 4);
       s_occupancy = n /. float_of_int t.capacity;
       s_omission_bound = n *. n /. 2.8e14 (* n²/2⁴⁸ tag birthday bound *);
-      s_lossy_dups = 0;
       s_contention = 0;
       s_cas_retries = sum c.c_retries;
       s_dropped = c.c_dropped }
-  | R_bitstate b ->
-    let set = sum b.b_set in
-    let occupancy = float_of_int set /. float_of_int t.capacity in
-    let p =
-      (* probability a fresh state answers "seen": all k probes land on
-         set bits, at final occupancy (an upper bound over the run) *)
-      occupancy ** float_of_int bitstate_hashes
-    in
-    { s_kind = kind_to_string t.kind;
-      s_capacity = t.capacity;
-      s_entries = sum b.b_new;
-      s_bytes = (t.capacity lsr bits_per_word_shift) * 8;
-      s_occupancy = occupancy;
-      s_omission_bound = float_of_int (sum b.b_dups) *. p;
-      s_lossy_dups = sum b.b_dups;
-      s_contention = 0;
-      s_cas_retries = 0;
-      s_dropped = false }
 
 (** Live footprint in bytes, cheap enough for a telemetry probe: the
     exact store is estimated from [Hashtbl.length] alone (buckets ≈
@@ -455,7 +338,6 @@ let live_bytes t =
     entries * 12 * (Sys.word_size / 8)
   | R_compact c ->
     (t.capacity * 8) + (match c.c_sidx with None -> 0 | Some _ -> t.capacity * 4)
-  | R_bitstate _ -> (t.capacity lsr bits_per_word_shift) * 8
 
 let json_of_summary (s : summary) : P_obs.Json.t =
   P_obs.Json.Obj
@@ -465,7 +347,6 @@ let json_of_summary (s : summary) : P_obs.Json.t =
       ("bytes", P_obs.Json.Int s.s_bytes);
       ("occupancy", P_obs.Json.Float s.s_occupancy);
       ("omission_bound", P_obs.Json.Float s.s_omission_bound);
-      ("lossy_dups", P_obs.Json.Int s.s_lossy_dups);
       ("contention", P_obs.Json.Int s.s_contention);
       ("cas_retries", P_obs.Json.Int s.s_cas_retries);
       ("dropped", P_obs.Json.Bool s.s_dropped) ]

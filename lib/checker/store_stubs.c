@@ -1,11 +1,11 @@
-/* Atomic operations on the off-heap slot arena of the compact and bitstate
-   state stores (state_store.ml).
+/* Atomic operations on the off-heap slot arena of the compact state store
+   (state_store.ml).
 
    The arena is an (int64, c_layout) Bigarray: its data lives outside the
    OCaml heap and never moves, so a raw pointer into it stays valid across
    GC and can be the target of C11 atomic operations. Every value crossing
    this boundary is an immediate OCaml int (63-bit, via Long_val/Val_long),
-   never a boxed Int64 — all four primitives are [@@noalloc] and release no
+   never a boxed Int64 — all three primitives are [@@noalloc] and release no
    locks, so they are safe to call from any domain with no safe-point
    surprises.
 
@@ -44,12 +44,4 @@ CAMLprim value pcaml_store_cas(value ba, value idx, value expected, value desire
   return Val_bool(__atomic_compare_exchange_n(
       slot(ba, idx), &exp, (int64_t) Long_val(desired),
       /* weak: */ 0, __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE));
-}
-
-/* Atomic fetch-or of a bit mask into slots.(idx); returns the OLD word —
-   the bitstate store's one-shot "was this bit already set" test-and-set. */
-CAMLprim value pcaml_store_fetch_or(value ba, value idx, value mask)
-{
-  return Val_long(
-      __atomic_fetch_or(slot(ba, idx), (int64_t) Long_val(mask), __ATOMIC_ACQ_REL));
 }

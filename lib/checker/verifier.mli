@@ -45,8 +45,8 @@ val verify :
     cross-checks the incremental cache against full re-encoding). [store]
     picks the safety search's seen-set representation (default [Exact];
     see {!State_store}), [store_capacity] overrides the arena sizing.
-    [reduce] (default {!Reduce.none}) applies sleep-set POR and/or
-    symmetry canonicalization to the safety search — same verdict kind,
+    [reduce] (default {!Reduce.none}) applies sleep-set POR to the safety
+    search — same verdict kind,
     never more states; the liveness pass always explores unreduced (its
     fair-cycle analysis needs the full graph). [seed]
     switches the safety search from exhaustive ghost-choice enumeration to

@@ -128,9 +128,12 @@ let buffer t s d msg =
    pushed since the last drain; reversal restores per-producer FIFO
    order. Returns [(batches, messages)] processed. *)
 let drain_queue (sh : shard) (q : node Atomic.t) : int * int =
-  match Atomic.exchange q Nil with
-  | Nil -> (0, 0)
-  | node ->
+  if Atomic.get q = Nil then (0, 0)
+  else begin
+    (* Leave idle before taking the work: otherwise {!quiesce} can see this
+       shard idle with the queue and [pending] already empty while the
+       drained messages have not run yet. *)
+    Atomic.set sh.idle false;
     let rec batches acc = function
       | Nil -> acc  (* acc is oldest-first after the walk *)
       | Batch { msgs; next } -> batches (msgs :: acc) next
@@ -152,8 +155,9 @@ let drain_queue (sh : shard) (q : node Atomic.t) : int * int =
               Sched.adopt_spawn sh.sched ~handle ~creator ty inits);
             ignore (Atomic.fetch_and_add sh.pending (-1) : int))
           (List.rev msgs))
-      (batches [] node);
+      (batches [] (Atomic.exchange q Nil));
     (!nb, !n)
+  end
 
 (* Cross-shard transfer traffic. *)
 let drain_inbound t s =

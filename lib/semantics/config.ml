@@ -32,7 +32,6 @@ let is_deleted t id = Mid.compare id t.next_id < 0 && not (mem t id)
    incremental fingerprint relies on. *)
 let update t id machine =
   machine.Machine.digest_memo <- "";
-  machine.Machine.shape_memo <- "";
   { t with machines = Mid.Map.add id machine t.machines }
 
 let remove t id = { t with machines = Mid.Map.remove id t.machines }

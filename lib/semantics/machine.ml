@@ -61,11 +61,6 @@ type t = {
           rebuilt) machine is bound into a configuration, so a non-empty
           memo is only ever carried by a physically shared, untouched
           machine. *)
-  mutable shape_memo : string;
-      (** second scratch slot with the same ownership and invalidation
-          rules: the machine's identity-blind shape digest (every machine
-          identifier in the encoding masked), used by symmetry reduction to
-          order same-type machines without re-encoding them per state. *)
 }
 
 let top_frame t =
@@ -87,8 +82,7 @@ let create ~name ~self ~initial ~entry ~store =
     arg = Value.Null;
     agenda = [ Exec entry ];
     queue = Equeue.empty;
-    digest_memo = "";
-    shape_memo = "" }
+    digest_memo = "" }
 
 (* ------------------------------------------------------------------ *)
 (* Effective deferred set and handler resolution (rule DEQUEUE).       *)

@@ -40,11 +40,6 @@ type t = {
           computed. Not semantic state — ignored by {!compare} and reset
           by [Config.update] on every (re)binding, so a non-empty memo is
           only ever carried by a physically shared, untouched machine. *)
-  mutable shape_memo : string;
-      (** second scratch slot with the same ownership and invalidation
-          rules: the machine's identity-blind shape digest (machine ids
-          masked in the encoding), used by symmetry reduction to order
-          same-type machines without re-encoding them per state. *)
 }
 
 val create :

@@ -2,8 +2,9 @@
 
     Identifiers are allocated deterministically in creation order, which
     makes global configurations directly comparable across schedules that
-    create machines in the same order; the model checker's canonicalization
-    ({!P_checker.Canon}) handles the remaining symmetry. *)
+    create machines in the same order. The model checker keys states on
+    these identifiers as they are ({!P_checker.Canon}): configurations that
+    differ only in which identifier plays which role stay distinct. *)
 
 type t = int
 

@@ -191,21 +191,18 @@ let test_fingerprint_modes_same_triples () =
         Delay_bounded.explore ~delay_bound:d ~max_states:500_000 ~fingerprint:mode
           tab
       in
-      let full = run Fingerprint.Full in
-      let incr = run Fingerprint.Incremental in
+      (* paranoid keys on the reference Canon.digest *)
       let para = run Fingerprint.Paranoid in
-      List.iter
-        (fun (mode, r) ->
-          check int_t (Fmt.str "%s %s states" name mode) full.Search.stats.states
-            r.Search.stats.states;
-          check int_t
-            (Fmt.str "%s %s transitions" name mode)
-            full.Search.stats.transitions r.Search.stats.transitions;
-          check bool_t
-            (Fmt.str "%s %s verdict agrees" name mode)
-            (full.Search.verdict = Search.No_error)
-            (r.Search.verdict = Search.No_error))
-        [ ("incremental", incr); ("paranoid", para) ])
+      let incr = run Fingerprint.Incremental in
+      check int_t (Fmt.str "%s incremental states" name) para.Search.stats.states
+        incr.Search.stats.states;
+      check int_t
+        (Fmt.str "%s incremental transitions" name)
+        para.Search.stats.transitions incr.Search.stats.transitions;
+      check bool_t
+        (Fmt.str "%s incremental verdict agrees" name)
+        (para.Search.verdict = Search.No_error)
+        (incr.Search.verdict = Search.No_error))
     [ ("elevator", elevator (), 2);
       ("elevator_buggy", elevator_buggy (), 2);
       ("german", german (), 0);
@@ -352,7 +349,7 @@ let test_changed_machines_small () =
 
 (* ---------------- state-space reduction ---------------- *)
 
-(* Reduction differential: [full] must report the same verdict kind as
+(* Reduction differential: [por] must report the same verdict kind as
    [none] while never claiming more states, strictly fewer where the
    commutativity structure exists. The reduced counts are pinned — the
    pruning decision is a pure function of the expanded state, so they are
@@ -363,23 +360,23 @@ let test_reduction_differential () =
       let explore reduce =
         Delay_bounded.explore ~delay_bound:d ~max_states:500_000 ~reduce tab
       in
-      let none = explore Reduce.none and full = explore Reduce.full in
+      let none = explore Reduce.none and por = explore Reduce.por in
       check bool_t
         (Fmt.str "%s d=%d same verdict kind" name d)
         true
-        ((none.verdict = Search.No_error) = (full.verdict = Search.No_error));
+        ((none.verdict = Search.No_error) = (por.verdict = Search.No_error));
       check bool_t
         (Fmt.str "%s d=%d never more states" name d)
         true
-        (full.stats.states <= none.stats.states);
+        (por.stats.states <= none.stats.states);
       check int_t (Fmt.str "%s d=%d unreduced off" name d) 0 none.stats.pruned;
       match pinned with
       | None -> ()
       | Some (states, pruned) ->
         check int_t (Fmt.str "%s d=%d reduced states" name d) states
-          full.stats.states;
+          por.stats.states;
         check int_t (Fmt.str "%s d=%d moves slept" name d) pruned
-          full.stats.pruned)
+          por.stats.pruned)
     [ ("pingpong", tab_of (P_examples_lib.Pingpong.program ()), 2, None);
       ("switch_led", tab_of (P_examples_lib.Switch_led.program ()), 2, None);
       ("token_ring", tab_of (P_examples_lib.Token_ring.program ()), 2, Some (170, 106));
@@ -405,44 +402,9 @@ let test_reduction_usb_depth_capped () =
       ~reduce tab
   in
   let none = explore Reduce.none in
-  let full = explore Reduce.full in
-  let sym = explore Reduce.symmetry in
+  let por = explore Reduce.por in
   check int_t "usb unreduced states" 33410 none.stats.states;
-  check int_t "usb reduced states" 13145 full.stats.states;
-  check bool_t "usb symmetry alone also merges" true
-    (sym.stats.states < none.stats.states)
-
-(* Creation-order twins: a ghost choice orders two [new]s of an otherwise
-   indistinguishable machine type, so the two branches reach isomorphic
-   configurations that differ only by the identity permutation. POR can
-   not help (the blocks conflict on the creating machine); symmetry
-   canonicalization must merge them. *)
-let twins_program () =
-  let open P_syntax.Builder in
-  program
-    ~events:[ event "unit" ]
-    ~machines:
-      [ machine "W" [ state "Idle" ~entry:skip ];
-        machine ~ghost:true "Main"
-          ~vars:
-            [ var_decl "a" P_syntax.Ptype.Machine_id;
-              var_decl "b" P_syntax.Ptype.Machine_id ]
-          [ state "Init"
-              ~entry:
-                (if_ nondet
-                   (seq [ new_ "a" "W" []; new_ "b" "W" [] ])
-                   (seq [ new_ "b" "W" []; new_ "a" "W" [] ])) ] ]
-    "Main"
-
-let test_symmetry_merges_twins () =
-  let tab = tab_of (twins_program ()) in
-  let explore reduce = Delay_bounded.explore ~delay_bound:1 ~reduce tab in
-  let none = explore Reduce.none in
-  let sym = explore Reduce.symmetry in
-  check bool_t "both clean" true
-    (none.verdict = Search.No_error && sym.verdict = Search.No_error);
-  check bool_t "creation orders split unreduced" true
-    (sym.stats.states < none.stats.states)
+  check int_t "usb reduced states" 13145 por.stats.states
 
 (* Parallel exploration under reduction keeps the sequential contract:
    same verdict, same states, same pruned count, and a counterexample
@@ -450,7 +412,7 @@ let test_symmetry_merges_twins () =
    runtime. *)
 let test_reduction_parallel_and_replay () =
   let tab = tab_of (P_examples_lib.German.buggy_program ~n:3 ~requests:2 ()) in
-  let reduce = Reduce.full in
+  let reduce = Reduce.por in
   let seq =
     Delay_bounded.explore ~delay_bound:2 ~max_states:500_000 ~reduce tab
   in
@@ -497,7 +459,5 @@ let suite =
       test_reduction_differential;
     Alcotest.test_case "reduction on the depth-capped USB stack" `Quick
       test_reduction_usb_depth_capped;
-    Alcotest.test_case "symmetry merges creation-order twins" `Quick
-      test_symmetry_merges_twins;
     Alcotest.test_case "reduced parallel search and replay" `Quick
       test_reduction_parallel_and_replay ]

@@ -21,19 +21,12 @@
    N defaults to 4 and is overridden by PCAML_TEST_DOMAINS — the CI matrix
    runs the suite at 1 and 4.
 
-   PCAML_TEST_STORE adds a second axis over the seen-set representation:
-
-   - [compact] re-runs all three explorations with the off-heap
-     fingerprint store and demands (verdict, states, transitions) triples
-     and counterexample schedules *byte-identical* to the exact store's —
-     hash compaction must be a pure representation change at these sizes
-     (the 47-bit tag birthday bound at 4000 states is ~6e-8);
-   - [bitstate] re-runs the sequential exploration with the supertrace bit
-     array, which may legitimately omit states — but never silently: it
-     must explore at most as many states as exact, any error it reports
-     must also be one exact reports, and whenever it is more optimistic
-     than exact (fewer states, or a missed error) its summary must flag
-     the loss (lossy_dups > 0).
+   PCAML_TEST_STORE=compact adds a second axis over the seen-set
+   representation: all three explorations re-run with the off-heap
+   fingerprint store and must give (verdict, states, transitions) triples
+   and counterexample schedules *byte-identical* to the exact store's —
+   hash compaction must be a pure representation change at these sizes
+   (the 47-bit tag birthday bound at 4000 states is ~6e-8).
 
    PCAML_TEST_SCHED=effects adds a third axis over the runtime driver:
    every generated program additionally runs under both the historical
@@ -41,9 +34,9 @@
    which must produce byte-identical observable traces (machine-visible
    event orders) and identical error outcomes.
 
-   PCAML_TEST_REDUCE={por,symmetry,full} adds a fourth axis over the
-   state-space reduction: the sequential and parallel explorations re-run
-   with the reduction on and must report the same verdict kind as the
+   PCAML_TEST_REDUCE=por adds a fourth axis over the state-space
+   reduction: the sequential and parallel explorations re-run with
+   sleep-set POR on and must report the same verdict kind as the
    unreduced reference, never more states (a pruned successor is never
    claimed), agree with each other exactly, and produce counterexamples
    that still replay through the compiled runtime. *)
@@ -380,34 +373,6 @@ let check_generated seed (p : P_syntax.Ast.program) =
       [ ("sequential", seq, cseq);
         ("parallel(1)", par1, cpar1);
         (Fmt.str "parallel(%d)" domains_under_test, parn, cparn) ]
-  | State_store.Bitstate ->
-    (* supertrace may omit states, never silently: at most exact's state
-       count, any error it finds is one exact's superset also contains,
-       and any optimism (fewer states, or exact's error missed) must be
-       flagged by a nonzero lossy-merge count *)
-    let bseq =
-      Delay_bounded.explore ~store:State_store.Bitstate ~delay_bound:1
-        ~max_states tab
-    in
-    let lossy =
-      match bseq.stats.store with
-      | Some st -> st.State_store.s_lossy_dups
-      | None -> failf seed "bitstate run carries no store summary"
-    in
-    if not (seq.stats.truncated || bseq.stats.truncated) then begin
-      if bseq.stats.states > seq.stats.states then
-        failf seed "bitstate explored %d states, exact only %d"
-          bseq.stats.states seq.stats.states;
-      if bseq.stats.states < seq.stats.states && lossy = 0 then
-        failf seed "bitstate omitted %d states without flagging a lossy merge"
-          (seq.stats.states - bseq.stats.states);
-      match (ce_of seq, ce_of bseq) with
-      | Some _, None when lossy = 0 ->
-        failf seed "bitstate missed the error without flagging a lossy merge"
-      | None, Some _ ->
-        failf seed "bitstate reports an error the exact store does not"
-      | _ -> ()
-    end
 
 let check_program ~ghost ~risky seed = check_generated seed (gen_one ~ghost ~risky seed)
 

@@ -1,8 +1,8 @@
 (* Unit tests of the pluggable seen-set ({!P_checker.State_store}): the
    claim contract of each representation, CAS single-winner arbitration
    under real domains, capacity/Dropped behaviour, the engine-level guard
-   rails, and the summary's honesty accounting (occupancy, omission bound,
-   lossy merges). *)
+   rails, and the summary's honesty accounting (occupancy, omission
+   bound). *)
 
 open P_checker
 
@@ -39,10 +39,16 @@ let test_kind_of_string () =
       match State_store.kind_of_string (State_store.kind_to_string k) with
       | Ok k' -> check bool_t "roundtrip" true (k = k')
       | Error e -> Alcotest.fail e)
-    [ State_store.Exact; State_store.Compact; State_store.Bitstate ];
-  match State_store.kind_of_string "mothballed" with
-  | Ok _ -> Alcotest.fail "accepted an unknown store kind"
-  | Error _ -> ()
+    [ State_store.Exact; State_store.Compact ];
+  let rejects what = function
+    | Ok _ -> Alcotest.failf "accepted %s" what
+    | Error _ -> ()
+  in
+  rejects "store mothballed" (State_store.kind_of_string "mothballed");
+  rejects "store bitstate" (State_store.kind_of_string "bitstate");
+  rejects "reduce symmetry" (Reduce.of_string "symmetry");
+  rejects "reduce full" (Reduce.of_string "full");
+  rejects "fingerprint full" (Fingerprint.mode_of_string "full")
 
 (* ---------------- claim semantics, per representation ---------------- *)
 
@@ -89,8 +95,7 @@ let test_compact_claims () =
     s.State_store.s_bytes;
   check bool_t "compact omission bound tiny but honest" true
     (s.State_store.s_omission_bound > 0.0
-    && s.State_store.s_omission_bound < 1e-9);
-  check int_t "compact lossy dups" 0 s.State_store.s_lossy_dups
+    && s.State_store.s_omission_bound < 1e-9)
 
 let test_compact_sidx_tracking () =
   let t =
@@ -112,30 +117,6 @@ let test_compact_sidx_tracking () =
     mk ~need_sidx:true ~kind:State_store.Compact ~workers:2 ~max_states:1_000 ()
   with
   | _ -> Alcotest.fail "multi-worker compact sidx tracking must be refused"
-  | exception Invalid_argument _ -> ()
-
-let test_bitstate_claims () =
-  let t = mk ~kind:State_store.Bitstate ~workers:1 ~max_states:1_000 () in
-  let claim fp =
-    State_store.claim t ~worker:0 ~digest:"" ~fp ~spent:0 ~new_sidx:0
-  in
-  check_claim "bitstate first visit" "new" (claim (fp_of 1));
-  (* bitstate keeps no budget: every revisit is a lossy merge, counted *)
-  (match claim (fp_of 1) with
-  | State_store.Dup sidx -> check int_t "bitstate keeps no sidx" (-1) sidx
-  | c -> Alcotest.failf "expected dup, got %s" (claim_kind c));
-  check_claim "bitstate second state" "new" (claim (fp_of 2));
-  let s = State_store.summary t in
-  check int_t "bitstate entries" 2 s.State_store.s_entries;
-  check int_t "bitstate lossy dups" 1 s.State_store.s_lossy_dups;
-  check bool_t "bitstate omission bound positive" true
-    (s.State_store.s_omission_bound > 0.0);
-  check bool_t "bitstate occupancy sane" true
-    (s.State_store.s_occupancy > 0.0 && s.State_store.s_occupancy < 1.0);
-  (* no dense indices: observer-driving engines must refuse this store *)
-  match mk ~need_sidx:true ~kind:State_store.Bitstate ~workers:1 ~max_states:10 ()
-  with
-  | _ -> Alcotest.fail "bitstate sidx tracking must be refused"
   | exception Invalid_argument _ -> ()
 
 (* ---------------- capacity and Dropped ---------------- *)
@@ -168,9 +149,7 @@ let test_default_capacity_sizing () =
       check bool_t "capacity is a power of two" true (c land (c - 1) = 0);
       check bool_t "capacity covers the budget" true (c >= at_least))
     [ (State_store.Compact, 1_000, 1_500);
-      (State_store.Compact, 1_000_000, 1_500_000);
-      (State_store.Bitstate, 1_000, 64_000);
-      (State_store.Bitstate, 100_000, 6_400_000) ]
+      (State_store.Compact, 1_000_000, 1_500_000) ]
 
 (* ---------------- CAS arbitration under real domains ---------------- *)
 
@@ -232,34 +211,19 @@ let elevator () = P_static.Check.run_exn (P_examples_lib.Elevator.program ())
 let test_engine_refuses_unsafe_specs () =
   (* the compact slot word keeps 15 bits of budget: a bound that could
      saturate it is refused up front, not silently clamped *)
-  (try
-     ignore
-       (Delay_bounded.explore ~store:State_store.Compact
-          ~delay_bound:(State_store.max_exact_spent + 1) ~max_states:100
-          (elevator ()));
-     Alcotest.fail "compact must refuse a bound beyond its spent field"
-   with Invalid_argument _ -> ());
-  (* bitstate keeps no dense indices, so graph observers cannot be fed *)
-  let observer =
-    { Engine.on_state = (fun _ _ -> ());
-      Engine.on_edge = (fun ~src:_ ~src_config:_ ~by:_ ~resolved:_ ~dst:_ -> ()) }
-  in
-  let spec =
-    Engine.spec ~bound:1 ~store:State_store.Bitstate
-      (Engine.stack_sched Engine.Causal)
-  in
   try
-    ignore (Engine.run ~observer ~engine:"guard" spec (elevator ()));
-    Alcotest.fail "bitstate must refuse observers"
+    ignore
+      (Delay_bounded.explore ~store:State_store.Compact
+         ~delay_bound:(State_store.max_exact_spent + 1) ~max_states:100
+         (elevator ()));
+    Alcotest.fail "compact must refuse a bound beyond its spent field"
   with Invalid_argument _ -> ()
 
 (* ---------------- engine triples across stores ---------------- *)
 
 (* The store is a membership oracle, not a search policy: swapping exact
    for compact must not move a single number (the 47-bit tag space makes
-   a collision at these sizes beyond unlikely). Bitstate may merge — on
-   these small closed spaces it happens to match states exactly, and when
-   it merges anything it says so via lossy_dups. *)
+   a collision at these sizes beyond unlikely). *)
 let test_store_triples_match () =
   let tab = elevator () in
   let run store = Delay_bounded.explore ~store ~delay_bound:2 ~max_states:50_000 tab in
@@ -272,8 +236,7 @@ let test_store_triples_match () =
   check bool_t "compact verdict" true
     (exact.Search.verdict = Search.No_error
     && compact.Search.verdict = Search.No_error);
-  (* the buggy elevator: all three stores find the bug — an error a lossy
-     store reports is always real *)
+  (* the buggy elevator: both stores find the bug *)
   let tabb = P_static.Check.run_exn (P_examples_lib.Elevator.buggy_program ()) in
   List.iter
     (fun store ->
@@ -283,14 +246,13 @@ let test_store_triples_match () =
       with
       | Search.Error_found ce -> check int_t "bug depth" 10 ce.Search.depth
       | Search.No_error -> Alcotest.fail "store lost a real bug")
-    [ State_store.Exact; State_store.Compact; State_store.Bitstate ]
+    [ State_store.Exact; State_store.Compact ]
 
 let suite =
   [ Alcotest.test_case "kind parsing" `Quick test_kind_of_string;
     Alcotest.test_case "exact claim semantics" `Quick test_exact_claims;
     Alcotest.test_case "compact claim semantics" `Quick test_compact_claims;
     Alcotest.test_case "compact sidx tracking" `Quick test_compact_sidx_tracking;
-    Alcotest.test_case "bitstate claim semantics" `Quick test_bitstate_claims;
     Alcotest.test_case "compact capacity drops honestly" `Quick
       test_compact_capacity_drops;
     Alcotest.test_case "default capacity sizing" `Quick
