@@ -14,11 +14,6 @@
            dune exec bench/main.exe -- digest-throughput
                                                (incremental vs reference digests)
            dune exec bench/main.exe -- scaling (work-stealing engine across domains)
-           dune exec bench/main.exe -- load    (open-loop serving load on the
-                                                sharded runtime; --machines N,
-                                                --events N, --rate HZ, --shards N
-                                                pin one cell, --smoke shrinks
-                                                the budgets)
            dune exec bench/main.exe -- reduce  (state-space reduction: sleep-set
                                                 POR across the example
                                                 suite and the USB stack; --smoke
@@ -841,98 +836,6 @@ let reduce_bench ?(smoke = false) () : bool =
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* bench load: open-loop serving throughput on the sharded runtime     *)
-(* ------------------------------------------------------------------ *)
-
-(* Extends the section 4.1 efficiency comparison from one device to a
-   served fleet: an open-loop generator posts requests into the
-   effects-based sharded runtime and reports sustained events/sec plus
-   post-to-served latency percentiles per shard count. Run-varying counts
-   (completed, shed) are emitted as floats so [compare] never gates them;
-   the gated metrics are events_per_s (higher-better) and the latency
-   percentiles (lower-better, 2x tolerance). *)
-let load_bench ?(machines = 100_000) ?(events = 500_000) ?(rate_hz = 0.0)
-    ?(shard_counts = [ 1; 2; 4 ]) ?(smoke = false) ?(require_multicore = false)
-    () : bool =
-  line "== Open-loop load: sharded serving runtime ==";
-  line "   (%d machines, %d events%s, shards in %s)" machines events
-    (if rate_hz > 0.0 then Fmt.str " at %.0f Hz" rate_hz else " at peak rate")
-    (String.concat "," (List.map string_of_int shard_counts));
-  let cores = Domain.recommended_domain_count () in
-  let valid_parallelism = cores > 1 in
-  if not valid_parallelism then
-    line
-      "warning: recommended_domain_count=1 — shard counts above 1 time-slice \
-       one core and are NOT valid parallelism measurements";
-  if require_multicore && not valid_parallelism then begin
-    line "FAIL: --require-multicore set but this machine reports 1 core";
-    false
-  end
-  else begin
-    line "%-14s %10s %10s %12s %10s %10s %10s" "config" "served" "shed"
-      "events/s" "p50_us" "p95_us" "p99_us";
-    let rows = ref [] in
-    let ok = ref true in
-    List.iter
-      (fun shards ->
-        let s =
-          P_host.Workload.load_run ~shards ~machines ~events ~rate_hz ()
-        in
-        if not s.ld_quiesced then begin
-          line "FAIL: %d-shard fleet did not quiesce" shards;
-          ok := false
-        end;
-        if smoke && (s.ld_completed = 0 || s.ld_shed <> 0) then begin
-          (* the smoke contract: below the ingress bound with unbounded
-             mailboxes, every posted event is served and none shed *)
-          line "FAIL: smoke expects nonzero throughput and zero shed";
-          ok := false
-        end;
-        let sh = s.ld_shard_stats in
-        if shards = 1 && sh.P_runtime.Shard.sh_xfer_batches <> 0 then begin
-          (* host posts ride the ingress queues; a single shard has no
-             peers, so any transfer batch is a routing bug *)
-          line "FAIL: single-shard run consumed %d cross-shard batch(es)"
-            sh.P_runtime.Shard.sh_xfer_batches;
-          ok := false
-        end;
-        if s.ld_quiesced && sh.P_runtime.Shard.sh_pending <> 0 then begin
-          line "FAIL: %d ingress slot(s) still reserved after quiescence"
-            sh.P_runtime.Shard.sh_pending;
-          ok := false
-        end;
-        line "%-14s %10d %10d %12.0f %10.0f %10.0f %10.0f"
-          (Fmt.str "%d shard(s)" shards)
-          s.ld_completed s.ld_shed s.ld_events_per_s s.ld_p50_us s.ld_p95_us
-          s.ld_p99_us;
-        rows :=
-          Json.Obj
-            [ ("name", Json.String (Fmt.str "load-%dshard" shards));
-              ("shards", Json.Int shards);
-              ("machines", Json.Int machines);
-              ("events", Json.Int events);
-              ("rate_hz", Json.Float rate_hz);
-              ("valid_parallelism", Json.Bool (valid_parallelism || shards = 1));
-              ("completed", Json.Float (float_of_int s.ld_completed));
-              ("shed", Json.Float (float_of_int s.ld_shed));
-              ( "xfer_batches",
-                Json.Float (float_of_int sh.P_runtime.Shard.sh_xfer_batches) );
-              ( "ingress_msgs",
-                Json.Float (float_of_int sh.P_runtime.Shard.sh_ingress_msgs) );
-              ("pending", Json.Float (float_of_int sh.P_runtime.Shard.sh_pending));
-              ("quiesced", Json.Bool s.ld_quiesced);
-              ("elapsed_s", Json.Float s.ld_elapsed_s);
-              ("events_per_s", Json.Float s.ld_events_per_s);
-              ("p50_us", Json.Float s.ld_p50_us);
-              ("p95_us", Json.Float s.ld_p95_us);
-              ("p99_us", Json.Float s.ld_p99_us) ]
-          :: !rows)
-      shard_counts;
-    record "load" (Json.List (List.rev !rows));
-    !ok
-  end
-
-(* ------------------------------------------------------------------ *)
 (* bench faults: the adversarial host over the protocol families       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1335,8 +1238,6 @@ let all () =
   hr ();
   ignore (parallel_scaling () : bool);
   hr ();
-  ignore (load_bench () : bool);
-  hr ();
   ignore (faults_bench () : bool);
   hr ();
   digest_throughput ();
@@ -1412,50 +1313,6 @@ let () =
   | "ablation" :: _ -> ablation ()
   | "parallel" :: _ | "scaling" :: _ ->
     if not (parallel_scaling ~require_multicore ()) then exit 1
-  | "load" :: rest ->
-    let smoke, rest = extract_flag "--smoke" rest in
-    let num name default rest =
-      let s, rest = extract_value name rest in
-      match s with
-      | None -> (default, rest)
-      | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> (n, rest)
-        | _ ->
-          prerr_endline ("bench load: bad " ^ name ^ " " ^ s);
-          exit 2)
-    in
-    let machines, rest =
-      num "--machines" (if smoke then 1_000 else 100_000) rest
-    in
-    let events, rest = num "--events" (if smoke then 10_000 else 500_000) rest in
-    let rate_s, rest = extract_value "--rate" rest in
-    let rate_hz =
-      match rate_s with
-      | None -> 0.0
-      | Some s -> (
-        match float_of_string_opt s with
-        | Some r when r >= 0.0 -> r
-        | _ ->
-          prerr_endline ("bench load: bad --rate " ^ s);
-          exit 2)
-    in
-    let shards_s, _rest = extract_value "--shards" rest in
-    let shard_counts =
-      match shards_s with
-      | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4 ]
-      | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> [ n ]
-        | _ ->
-          prerr_endline ("bench load: bad --shards " ^ s);
-          exit 2)
-    in
-    if
-      not
-        (load_bench ~machines ~events ~rate_hz ~shard_counts ~smoke
-           ~require_multicore ())
-    then exit 1
   | "compare" :: rest -> (
     let exact_only, rest = extract_flag "--exact-only" rest in
     let threshold_s, rest = extract_value "--threshold" rest in
@@ -1509,13 +1366,6 @@ let () =
        run (and with it CI) if the triples ever diverge *)
     if
       not (parallel_scaling ~max_states:20_000 ~domain_counts:[ 1; 2 ] ~bounds:[ 2 ] ())
-    then exit 1;
-    hr ();
-    (* the serving runtime's smoke contract: every event served, none shed *)
-    if
-      not
-        (load_bench ~machines:500 ~events:5_000 ~shard_counts:[ 1; 2 ]
-           ~smoke:true ())
     then exit 1;
     hr ();
     (* reduction soundness (same verdicts) and the strict-win contract are

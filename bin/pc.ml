@@ -508,8 +508,8 @@ let random_cmd =
 
 (* ---------------- simulate ---------------- *)
 
-(* --shards N: execute the compiled tables on the effects-based sharded
-   serving runtime instead of the semantics interpreter — the production
+(* --shards N: execute the compiled tables on the sharded serving
+   runtime instead of the semantics interpreter — the production
    execution path under a simulation driver. Full tables (ghosts kept),
    so closed programs drive themselves; [*] choices resolve from --seed.
    The --max-blocks budget maps onto events processed, polled against the
@@ -704,7 +704,7 @@ let simulate_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Execute on the effects-based sharded serving runtime with N \
+            "Execute on the sharded serving runtime with N \
              scheduler domains instead of the semantics interpreter \
              (ghost choices need $(b,--seed); the block budget counts \
              events processed).")

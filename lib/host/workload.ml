@@ -43,145 +43,3 @@ let run ?(rate_hz = 100) ?(events = 1000) ~(make_event : int -> Os_events.t)
     mean_ns = total /. float_of_int events;
     max_ns = sorted.(events - 1);
     p99_ns = sorted.(min (events - 1) (events * 99 / 100)) }
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop load generation against the sharded serving runtime       *)
-(* ------------------------------------------------------------------ *)
-
-module Shard = P_runtime.Shard
-module Rt_value = P_runtime.Rt_value
-
-type load_stats = {
-  ld_machines : int;
-  ld_shards : int;
-  ld_offered : int;  (** posts attempted by the generator *)
-  ld_completed : int;  (** events fully served (latency samples taken) *)
-  ld_shed : int;  (** ingress + mailbox drops *)
-  ld_quiesced : bool;  (** the fleet drained before the timeout *)
-  ld_elapsed_s : float;  (** first post to quiescence *)
-  ld_events_per_s : float;  (** sustained service rate over that window *)
-  ld_p50_us : float;  (** post-to-served latency percentiles *)
-  ld_p95_us : float;
-  ld_p99_us : float;
-  ld_shard_stats : Shard.stats;
-}
-
-let pp_load_stats ppf s =
-  Fmt.pf ppf
-    "%d machines on %d shard(s): %d/%d served (%d shed), %.0f events/s, \
-     latency p50 %.0f µs p95 %.0f µs p99 %.0f µs%s"
-    s.ld_machines s.ld_shards s.ld_completed s.ld_offered s.ld_shed
-    s.ld_events_per_s s.ld_p50_us s.ld_p95_us s.ld_p99_us
-    (if s.ld_quiesced then "" else " [DID NOT QUIESCE]")
-
-(* The served fleet: request-sink machines, one state pair per request so
-   the runtime walks a real transition (dequeue, entry, foreign call,
-   raise) per event rather than a no-op handler. *)
-let sink_program () =
-  let open P_syntax.Builder in
-  program
-    ~events:[ event "Req" ~payload:P_syntax.Ptype.Int; event "unit" ]
-    ~machines:
-      [ machine "Sink"
-          ~foreigns:
-            [ foreign ~params:[ P_syntax.Ptype.Int ]
-                ~ret:P_syntax.Ptype.Void "served" ]
-          [ state "Serve" ~entry:skip;
-            state "Work" ~entry:(seq [ fstmt "served" [ arg ]; raise_ "unit" ]) ]
-          ~steps:[ ("Serve", "Req", "Work"); ("Work", "unit", "Serve") ] ]
-    "Sink"
-
-(* Growable per-shard latency accumulator; owned by one shard domain, so
-   plain mutation, merged after the domains join. *)
-type lat_acc = { mutable buf : float array; mutable n : int }
-
-let lat_add acc x =
-  if acc.n = Array.length acc.buf then begin
-    let b = Array.make ((2 * acc.n) + 1024) 0.0 in
-    Array.blit acc.buf 0 b 0 acc.n;
-    acc.buf <- b
-  end;
-  acc.buf.(acc.n) <- x;
-  acc.n <- acc.n + 1
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
-(** Open-loop load run: [machines] request sinks served by [shards]
-    domain-pinned schedulers, [events] posts arriving at [rate_hz]
-    (0. = as fast as the generator can go) round-robin across the fleet.
-    Open loop means arrivals never wait for service: when the offered rate
-    exceeds the service rate the shard ingress bound (and any mailbox
-    [capacity]) sheds, keeping memory flat — the generator observes
-    [Shed] and moves on. Latency is measured post-to-served on the wall
-    clock, collected per shard without synchronization. *)
-let load_run ?(shards = 1) ?(machines = 1000) ?(events = 100_000)
-    ?(rate_hz = 0.0) ?capacity ?ingress_capacity ?quantum
-    ?(timeout_s = 120.0) ?telemetry ?metrics () : load_stats =
-  if machines <= 0 then invalid_arg "Workload.load_run: machines must be positive";
-  let driver =
-    (P_compile.Compile.compile (sink_program ())).P_compile.Compile.driver
-  in
-  let t =
-    Shard.create ~shards ?capacity ?ingress_capacity ?quantum ?telemetry
-      ?metrics driver
-  in
-  let arrivals_us = Array.make events 0.0 in
-  let lats =
-    Array.init shards (fun _ -> { buf = Array.make 1024 0.0; n = 0 })
-  in
-  Shard.register_foreign_per_shard t "served" (fun s ->
-      let acc = lats.(s) in
-      fun _ctx args ->
-        (match args with
-        | [ Rt_value.Int seq ] ->
-          lat_add acc (P_obs.Mclock.now_us () -. arrivals_us.(seq))
-        | _ -> ());
-        Rt_value.Null);
-  let handles = Array.init machines (fun _ -> Shard.create_machine t "Sink") in
-  let req = Shard.event_id t "Req" in
-  Shard.start t;
-  let period_us = if rate_hz <= 0.0 then 0.0 else 1e6 /. rate_hz in
-  let t0 = P_obs.Mclock.now_us () in
-  let shed_sync = ref 0 in
-  for i = 0 to events - 1 do
-    (* open loop: arrival i is due at t0 + i·period regardless of how
-       service is keeping up; a generator running behind posts immediately *)
-    if period_us > 0.0 then begin
-      let due = t0 +. (float_of_int i *. period_us) in
-      while P_obs.Mclock.now_us () < due do
-        Domain.cpu_relax ()
-      done
-    end;
-    arrivals_us.(i) <- P_obs.Mclock.now_us ();
-    match Shard.post t handles.(i mod machines) ~event:req (Rt_value.Int i) with
-    | P_runtime.Context.Shed -> incr shed_sync
-    | P_runtime.Context.Accepted | P_runtime.Context.Queued -> ()
-  done;
-  let quiesced = Shard.quiesce ~timeout_s t in
-  let elapsed_s = (P_obs.Mclock.now_us () -. t0) /. 1e6 in
-  let st = Shard.stop t in
-  let completed = Array.fold_left (fun acc a -> acc + a.n) 0 lats in
-  let merged = Array.make completed 0.0 in
-  let off = ref 0 in
-  Array.iter
-    (fun a ->
-      Array.blit a.buf 0 merged !off a.n;
-      off := !off + a.n)
-    lats;
-  Array.sort compare merged;
-  { ld_machines = machines;
-    ld_shards = shards;
-    ld_offered = events;
-    ld_completed = completed;
-    ld_shed = st.Shard.sh_shed_ingress + st.Shard.sh_shed_mailbox;
-    ld_quiesced = quiesced;
-    ld_elapsed_s = elapsed_s;
-    ld_events_per_s =
-      (if elapsed_s > 0.0 then float_of_int completed /. elapsed_s else 0.0);
-    ld_p50_us = percentile merged 0.50;
-    ld_p95_us = percentile merged 0.95;
-    ld_p99_us = percentile merged 0.99;
-    ld_shard_stats = st }

@@ -21,43 +21,3 @@ val run :
 (** [run ~make_event driver] attaches the device, delivers [events]
     (default 1000) callbacks at [rate_hz] (default 100) on the simulated
     clock, detaches, and reports per-event wall-time statistics. *)
-
-(** Result of one open-loop load run against the sharded serving runtime
-    ({!P_runtime.Shard}): what was offered, served and shed, the sustained
-    service rate, and post-to-served wall-clock latency percentiles. *)
-type load_stats = {
-  ld_machines : int;
-  ld_shards : int;
-  ld_offered : int;  (** posts attempted by the generator *)
-  ld_completed : int;  (** events fully served (latency samples taken) *)
-  ld_shed : int;  (** ingress + mailbox drops *)
-  ld_quiesced : bool;  (** the fleet drained before the timeout *)
-  ld_elapsed_s : float;  (** first post to quiescence *)
-  ld_events_per_s : float;  (** sustained service rate over that window *)
-  ld_p50_us : float;  (** post-to-served latency percentiles *)
-  ld_p95_us : float;
-  ld_p99_us : float;
-  ld_shard_stats : P_runtime.Shard.stats;
-}
-
-val pp_load_stats : load_stats Fmt.t
-
-val load_run :
-  ?shards:int ->
-  ?machines:int ->
-  ?events:int ->
-  ?rate_hz:float ->
-  ?capacity:int ->
-  ?ingress_capacity:int ->
-  ?quantum:int ->
-  ?timeout_s:float ->
-  ?telemetry:P_obs.Telemetry.t ->
-  ?metrics:P_obs.Metrics.t ->
-  unit ->
-  load_stats
-(** Drive [events] (default 10⁵) requests at [rate_hz] (default 0. = as
-    fast as possible) round-robin into [machines] (default 1000) request
-    sinks served by [shards] (default 1) scheduler domains. Open loop:
-    arrivals never wait for service, so offered load above the service
-    rate surfaces as [ld_shed] (bounded by [ingress_capacity] and any
-    mailbox [capacity]) instead of unbounded queue growth. *)

@@ -1,8 +1,9 @@
 (** Machine instance contexts: the runtime twin of the paper's
     [StateMachineContext] (section 4). Each dynamic instance carries its
-    variable values, call stack, input queue, a lock for synchronization
-    with concurrent host threads, and a [void*]-style pointer to external
-    memory reserved for foreign functions and interface code. *)
+    variable values, call stack, input queue, and a [void*]-style pointer
+    to external memory reserved for foreign functions and interface code.
+    A context has no lock of its own: the runtime that owns it serializes
+    access (see {!Exec}). *)
 
 module Tables = P_compile.Tables
 
@@ -28,19 +29,22 @@ type backpressure = Accepted | Queued | Shed
 type enqueue_result = Enq_ok | Enq_duplicate | Enq_overflow
 
 (** The input FIFO: a two-list functional queue (amortized O(1) enqueue)
-    plus a membership table for the deduplicating [⊕] of the SEND rule.
-    The historical representation was a plain list appended with [@],
-    which made every enqueue O(n) and bursty workloads O(n²). The
-    membership table counts occurrences rather than recording presence:
-    [⊕] keeps the queue duplicate-free on its own, but a duplication
-    fault ({!enqueue_no_dedup}) deliberately bypasses it, and a counting
-    table keeps [⊕] correct after the first copy of a duplicated entry
+    plus membership for the deduplicating [⊕] of the SEND rule. The
+    historical representation was a plain list appended with [@], which
+    made every enqueue O(n) and bursty workloads O(n²). A short mailbox
+    checks membership by scanning its two lists; one that grows past
+    {!scan_limit} builds a table that counts occurrences, kept until the
+    mailbox empties. Counts rather than presence: [⊕] keeps the queue
+    duplicate-free on its own, but a duplication fault
+    ({!enqueue_no_dedup}) deliberately bypasses it, and a counting table
+    keeps [⊕] correct after the first copy of a duplicated entry
     dequeues. *)
 type inbox = {
   mutable ib_front : (int * Rt_value.t) list;  (** next to dequeue first *)
   mutable ib_back : (int * Rt_value.t) list;  (** reversed: newest first *)
   mutable ib_size : int;
-  ib_members : (int * Rt_value.t, int) Hashtbl.t;  (** occurrence counts *)
+  mutable ib_members : (int * Rt_value.t, int) Hashtbl.t option;
+      (** occurrence counts of a long mailbox *)
 }
 
 type task =
@@ -69,7 +73,6 @@ type t = {
   mutable alive : bool;
   mutable scheduled : bool;  (** being run (or queued to run) by some thread *)
   capacity : int;  (** mailbox bound; [max_int] = unbounded (semantics mode) *)
-  lock : Mutex.t;
   mutable external_mem : ext option;
 }
 
@@ -91,11 +94,10 @@ let create ?(capacity = max_int) ~self ~ty ~(table : Tables.machine_table) () : 
       (match table.mt_states with
       | [||] -> []
       | states -> [ Exec states.(0).st_entry ]);
-    inbox = { ib_front = []; ib_back = []; ib_size = 0; ib_members = Hashtbl.create 16 };
+    inbox = { ib_front = []; ib_back = []; ib_size = 0; ib_members = None };
     alive = true;
     scheduled = false;
     capacity = (if capacity <= 0 then invalid_arg "Context.create: capacity" else capacity);
-    lock = Mutex.create ();
     external_mem = None }
 
 let current_state t = match t.frames with [] -> None | f :: _ -> Some f.f_state
@@ -118,30 +120,52 @@ let is_deferred t event =
     in
     (declared || inherited) && not overridden
 
-(** Append with the deduplicating [⊕] of the SEND rule. Amortized O(1):
-    membership is a hash lookup ([Rt_value] values are plain immutable
-    variants, so generic hashing and equality agree with
-    {!Rt_value.equal}), and the entry is consed onto the back list. *)
-let member_count (ib : inbox) key =
-  Option.value ~default:0 (Hashtbl.find_opt ib.ib_members key)
+(** Mailboxes up to this length check [⊕] membership by scanning. *)
+let scan_limit = 8
 
-let member_incr (ib : inbox) key =
-  Hashtbl.replace ib.ib_members key (member_count ib key + 1)
+(* Is [key] queued? [Rt_value] values are plain immutable variants, so
+   generic equality and hashing agree with {!Rt_value.equal}. *)
+let member (ib : inbox) key =
+  match ib.ib_members with
+  | Some tbl -> Hashtbl.mem tbl key
+  | None -> List.mem key ib.ib_front || List.mem key ib.ib_back
 
-let member_decr (ib : inbox) key =
-  match member_count ib key with
-  | n when n <= 1 -> Hashtbl.remove ib.ib_members key
-  | n -> Hashtbl.replace ib.ib_members key (n - 1)
+let count tbl key =
+  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+(* Account for [key], already consed onto one of the lists. *)
+let added (ib : inbox) key =
+  ib.ib_size <- ib.ib_size + 1;
+  match ib.ib_members with
+  | Some tbl -> count tbl key
+  | None when ib.ib_size > scan_limit ->
+    let tbl = Hashtbl.create (2 * ib.ib_size) in
+    List.iter (count tbl) ib.ib_front;
+    List.iter (count tbl) ib.ib_back;
+    ib.ib_members <- Some tbl
+  | None -> ()
+
+(* Account for [key], just taken off the front list. *)
+let removed (ib : inbox) key =
+  ib.ib_size <- ib.ib_size - 1;
+  match ib.ib_members with
+  | None -> ()
+  | Some _ when ib.ib_size = 0 -> ib.ib_members <- None
+  | Some tbl -> (
+    match Hashtbl.find tbl key with
+    | 1 -> Hashtbl.remove tbl key
+    | n -> Hashtbl.replace tbl key (n - 1))
+
+(** Append with the deduplicating [⊕] of the SEND rule, respecting the
+    mailbox bound; the entry is consed onto the back list. *)
 let enqueue t event payload : enqueue_result =
   let ib = t.inbox in
   let key = (event, payload) in
-  if member_count ib key > 0 then Enq_duplicate
+  if member ib key then Enq_duplicate
   else if ib.ib_size >= t.capacity then Enq_overflow
   else begin
-    member_incr ib key;
     ib.ib_back <- key :: ib.ib_back;
-    ib.ib_size <- ib.ib_size + 1;
+    added ib key;
     Enq_ok
   end
 
@@ -153,9 +177,8 @@ let enqueue_no_dedup t event payload : enqueue_result =
   let key = (event, payload) in
   if ib.ib_size >= t.capacity then Enq_overflow
   else begin
-    member_incr ib key;
     ib.ib_back <- key :: ib.ib_back;
-    ib.ib_size <- ib.ib_size + 1;
+    added ib key;
     Enq_ok
   end
 
@@ -165,12 +188,11 @@ let enqueue_no_dedup t event payload : enqueue_result =
 let enqueue_front t event payload : enqueue_result =
   let ib = t.inbox in
   let key = (event, payload) in
-  if member_count ib key > 0 then Enq_duplicate
+  if member ib key then Enq_duplicate
   else if ib.ib_size >= t.capacity then Enq_overflow
   else begin
-    member_incr ib key;
     ib.ib_front <- key :: ib.ib_front;
-    ib.ib_size <- ib.ib_size + 1;
+    added ib key;
     Enq_ok
   end
 
@@ -193,8 +215,7 @@ let dequeue t : (int * Rt_value.t) option =
       if is_deferred t e then scan (entry :: skipped) rest
       else begin
         ib.ib_front <- List.rev_append skipped rest;
-        ib.ib_size <- ib.ib_size - 1;
-        member_decr ib entry;
+        removed ib entry;
         Some entry
       end
   in
@@ -213,8 +234,7 @@ let dequeue_second t : (int * Rt_value.t) option =
         scan (seen_first || not (is_deferred t e)) (entry :: skipped) rest
       else begin
         ib.ib_front <- List.rev_append skipped rest;
-        ib.ib_size <- ib.ib_size - 1;
-        member_decr ib entry;
+        removed ib entry;
         Some entry
       end
   in
@@ -255,4 +275,4 @@ let restart t : unit =
   ib.ib_front <- [];
   ib.ib_back <- [];
   ib.ib_size <- 0;
-  Hashtbl.reset ib.ib_members
+  ib.ib_members <- None

@@ -1,7 +1,9 @@
 (** Machine instance contexts: the runtime twin of the paper's
     [StateMachineContext] (section 4) — variable values, call stack, input
-    queue, a per-instance lock, and a [void*]-style pointer to external
-    memory for foreign functions and interface code. *)
+    queue, and a [void*]-style pointer to external memory for foreign
+    functions and interface code. A context has no lock or hash table of
+    its own: the owning {!Exec} runtime serializes access, and a short
+    mailbox checks [⊕] by scanning. *)
 
 module Tables = P_compile.Tables
 
@@ -15,7 +17,7 @@ type handler = HNone | HDefer | HAction of int
 (** What happened to an event offered to the runtime: ran immediately
     ([Accepted]), parked in a mailbox ([Queued]), or dropped because a
     bound was reached ([Shed]). The typed backpressure contract shared by
-    {!Api}, the effects scheduler and the shard layer. *)
+    {!Api}, the scheduler and the shard layer. *)
 type backpressure = Accepted | Queued | Shed
 
 (** Outcome of a single mailbox [enqueue]: [Enq_duplicate] is the
@@ -36,17 +38,20 @@ type frame = {
   f_cont : task list;  (** caller continuation for [call] statements *)
 }
 
-(** The input FIFO: a two-list functional queue with a membership table
-    for the deduplicating [⊕], making enqueue amortized O(1) (the
-    historical list-append representation made bursty workloads O(n²)).
-    The table counts occurrences: a duplication fault
-    ({!enqueue_no_dedup}) can put the same entry in the queue twice, and
-    [⊕] must stay correct after the first copy dequeues. *)
+(** The input FIFO: a two-list functional queue, making enqueue amortized
+    O(1) (the historical list-append representation made bursty workloads
+    O(n²)). A mailbox of at most {!scan_limit} entries checks the
+    deduplicating [⊕] by scanning both lists; a longer one builds a
+    membership table, kept until the mailbox empties. The table counts
+    occurrences: a duplication fault ({!enqueue_no_dedup}) can put the
+    same entry in the queue twice, and [⊕] must stay correct after the
+    first copy dequeues. *)
 type inbox = {
   mutable ib_front : (int * Rt_value.t) list;  (** next to dequeue first *)
   mutable ib_back : (int * Rt_value.t) list;  (** reversed: newest first *)
   mutable ib_size : int;
-  ib_members : (int * Rt_value.t, int) Hashtbl.t;  (** occurrence counts *)
+  mutable ib_members : (int * Rt_value.t, int) Hashtbl.t option;
+      (** occurrence counts of a long mailbox *)
 }
 
 type t = {
@@ -62,7 +67,6 @@ type t = {
   mutable alive : bool;
   mutable scheduled : bool;  (** being run (or queued to run) by some thread *)
   capacity : int;  (** mailbox bound; [max_int] = unbounded (semantics mode) *)
-  lock : Mutex.t;
   mutable external_mem : ext option;
 }
 
@@ -78,6 +82,9 @@ val state_table : t -> int -> Tables.state_table
 val is_deferred : t -> int -> bool
 (** The effective deferred set in the current state (inherited plus
     declared, minus locally handled). *)
+
+val scan_limit : int
+(** The longest mailbox that checks [⊕] membership by scanning. *)
 
 val enqueue : t -> int -> Rt_value.t -> enqueue_result
 (** Append with the deduplicating [⊕] of the SEND rule, respecting the

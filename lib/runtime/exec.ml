@@ -12,11 +12,13 @@
     to a machine that is already running (or scheduled on another thread)
     only enqueues; the receiver's own drain loop picks the event up.
 
-    Thread safety: each context has a [scheduled] flag; flags, the instance
-    table and every inbox are protected by the runtime's lock, which is
-    *not* held while machine code runs, so concurrent host threads can
-    drive disjoint machines in parallel (the per-instance locking the paper
-    describes). *)
+    Thread safety: in [Nested] mode, the one mode in which host threads
+    share a runtime, each context has a [scheduled] flag; flags, the
+    instance table and every inbox are protected by the runtime's lock,
+    which is *not* held while machine code runs, so concurrent host threads
+    can drive disjoint machines in parallel (the per-instance locking the
+    paper describes). [Stepped] and [Scheduled] runtimes belong to one
+    thread and take no lock. *)
 
 module Tables = P_compile.Tables
 
@@ -43,43 +45,29 @@ type stepped = {
 exception Choice_needed
 (** A [*] was evaluated past the end of [sp_choices]. *)
 
-(** Scheduled (effects) mode: sends, spawns, [*] choices and quantum
-    expiry perform effects instead of recursing on the caller's stack, so
-    a {!Sched} handler can multiplex thousands of machine fibers on one
-    domain. [sc_left] is the remaining dequeue budget of the running
-    fiber; when it reaches zero the machine loop performs {!Sched_yield}
-    at its next dequeue point (a scheduling point in the semantics), which
-    lets a serving scheduler preempt chatty machines without breaking
-    atomic-block boundaries. *)
+(** Scheduled mode: a {!Sched} multiplexes many machines on one domain.
+    Sends, spawns and [*] choices call the functions the scheduler
+    installed instead of recursing on the caller's stack. [sc_left] is the
+    running activation's remaining dequeue budget; when it reaches zero the
+    machine loop returns at its next dequeue point (a block boundary, where
+    the context holds all of the machine's state) with [sc_preempted] set,
+    and the scheduler re-queues the machine. Preemption never breaks an
+    atomic block, and nothing is captured to resume it. *)
 type sched_mode = {
   sc_quantum : int;
   mutable sc_left : int;
+  mutable sc_preempted : bool;
+  sc_send : src:int -> int -> int -> Rt_value.t -> Context.backpressure;
+      (** [sc_send ~src dst event payload] *)
+  sc_spawn : creator:int -> int -> (int * Rt_value.t) list -> int;
+      (** [sc_spawn ~creator ty inits] returns the child's handle *)
+  sc_choose : Context.t -> bool;  (** resolves a ghost [*] *)
 }
 
 type mode =
   | Nested  (** run-to-completion on the calling thread (the d = 0 schedule) *)
   | Stepped of stepped  (** differential replay via {!step_block} *)
-  | Scheduled of sched_mode  (** cooperative fibers under a {!Sched} handler *)
-
-(** The effects performed by machine code in [Scheduled] mode. Declared
-    here (the lowest layer) so the machine loop can perform them; handled
-    exclusively by [Sched.run_fiber]. *)
-type _ Effect.t +=
-  | Sched_send : {
-      src : Context.t;
-      dst : int;
-      event : int;
-      payload : Rt_value.t;
-    }
-      -> Context.backpressure Effect.t
-  | Sched_spawn : {
-      creator : Context.t;
-      ty : int;
-      inits : (int * Rt_value.t) list;
-    }
-      -> int Effect.t
-  | Sched_yield : Context.t -> unit Effect.t
-  | Sched_choose : Context.t -> bool Effect.t
+  | Scheduled of sched_mode  (** activations driven by a {!Sched} *)
 
 exception
   Mailbox_overflow of {
@@ -93,8 +81,8 @@ exception
 
 (** Metric handles resolved once in {!set_metrics}: sends, dequeues and
     machine creations as counters, plus the longest inbox ever seen.
-    Updated under the runtime lock the bookkeeping already holds, so the
-    hot path gains no extra synchronization. *)
+    Updated where the bookkeeping already runs (under the lock in [Nested]
+    mode), so the hot path gains no extra synchronization. *)
 type rt_meters = {
   rm_sends : P_obs.Metrics.counter;  (** [runtime.sends] *)
   rm_dequeues : P_obs.Metrics.counter;  (** [runtime.dequeues] *)
@@ -107,12 +95,15 @@ type t = {
   instances : (int, Context.t) Hashtbl.t;
   mutable next_handle : int;
   foreigns : (string, foreign_fn) Hashtbl.t;
-  lock : Mutex.t;
+  mutable resolved : foreign_fn option array array;
+      (** [resolved.(ty).(f)]: machine type [ty]'s foreign [f], looked up
+          by name on its first call; {!register_foreign} clears it *)
+  lock : Mutex.t;  (** taken in [Nested] mode only *)
   mutable trace_hook : (Rt_trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
-          {!Sched} handler *)
+          {!Sched} *)
   mutable default_capacity : int;
       (** mailbox capacity for instances created from here on *)
   mutable n_dequeued : int;  (** events processed, all modes; cheap stat *)
@@ -123,11 +114,15 @@ type t = {
   mutable fseq : int;  (** fault points consumed so far (monotone) *)
 }
 
+let unresolved (driver : Tables.driver) =
+  Array.map (fun mt -> Array.make (Array.length mt.Tables.mt_foreigns) None) driver.dr_machines
+
 let create (driver : Tables.driver) : t =
   { driver;
     instances = Hashtbl.create 16;
     next_handle = 0;
     foreigns = Hashtbl.create 16;
+    resolved = unresolved driver;
     lock = Mutex.create ();
     trace_hook = None;
     meters = None;
@@ -145,12 +140,9 @@ let set_mailbox_capacity rt capacity =
   if capacity <= 0 then invalid_arg "Exec.set_mailbox_capacity";
   rt.default_capacity <- capacity
 
-let scheduled_mode rt ~quantum =
-  if quantum <= 0 then invalid_arg "Exec.scheduled_mode: quantum";
-  rt.mode <- Scheduled { sc_quantum = quantum; sc_left = quantum }
-
-let reset_quantum rt =
-  match rt.mode with Scheduled sc -> sc.sc_left <- sc.sc_quantum | _ -> ()
+let scheduled_mode rt sc =
+  if sc.sc_quantum <= 0 then invalid_arg "Exec.scheduled_mode: quantum";
+  rt.mode <- Scheduled sc
 
 let events_dequeued rt = rt.n_dequeued
 
@@ -186,17 +178,25 @@ let set_metrics (rt : t) (reg : P_obs.Metrics.t option) : unit =
           rm_queue_hwm = P_obs.Metrics.gauge reg "runtime.queue_len_hwm" })
       reg
 
+(* Trace items are built only under [if tracing rt], so a runtime with no
+   hook formats and allocates nothing for them. *)
+let tracing rt = rt.trace_hook <> None
 let emit rt item = match rt.trace_hook with None -> () | Some f -> f item
 
-let with_lock rt f =
-  Mutex.lock rt.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock rt.lock) f
+(* [f rt x], under the runtime lock in [Nested] mode only. Callers pass
+   closed functions, so the unlocked modes allocate no closure. *)
+let locked rt f x =
+  match rt.mode with
+  | Nested -> Mutex.protect rt.lock (fun () -> f rt x)
+  | Stepped _ | Scheduled _ -> f rt x
 
 (** Register the implementation of a foreign function (the paper's
     driver-specific C files). *)
-let register_foreign rt name fn = Hashtbl.replace rt.foreigns name fn
+let register_foreign rt name fn =
+  Hashtbl.replace rt.foreigns name fn;
+  rt.resolved <- unresolved rt.driver
 
-let find_instance rt handle = with_lock rt (fun () -> Hashtbl.find_opt rt.instances handle)
+let find_instance rt handle = locked rt (fun rt h -> Hashtbl.find_opt rt.instances h) handle
 
 let event_name rt e = fst rt.driver.dr_events.(e)
 let state_name (ctx : Context.t) s = ctx.table.mt_states.(s).Tables.st_name
@@ -224,19 +224,16 @@ let rec eval rt (ctx : Context.t) (e : Tables.cexpr) : Rt_value.t =
     let va = eval rt ctx a in
     let vb = eval rt ctx b in
     Rt_value.binop op va vb
-  | Tables.CForeign_call (f, args) ->
-    let fs = ctx.table.mt_foreigns.(f) in
-    let values = List.map (eval rt ctx) args in
-    call_foreign rt ctx fs.fs_name values
+  | Tables.CForeign_call (f, args) -> call_foreign rt ctx f (List.map (eval rt ctx) args)
   | Tables.CNondet -> (
     (* only full (differential) tables contain CNondet; stepped execution
        resolves it from the recorded choice list, scheduled execution asks
-       its handler (which may hold a seeded generator) *)
+       its scheduler (which may hold a seeded generator) *)
     match rt.mode with
     | Nested ->
       error "machine %s #%d: nondeterministic '*' outside stepped mode"
         ctx.table.mt_name ctx.self
-    | Scheduled _ -> Rt_value.Bool (Effect.perform (Sched_choose ctx))
+    | Scheduled sc -> Rt_value.Bool (sc.sc_choose ctx)
     | Stepped sp -> (
       match sp.sp_choices with
       | [] -> raise Choice_needed
@@ -244,10 +241,16 @@ let rec eval rt (ctx : Context.t) (e : Tables.cexpr) : Rt_value.t =
         sp.sp_choices <- rest;
         Rt_value.Bool b))
 
-and call_foreign rt ctx name values =
-  match Hashtbl.find_opt rt.foreigns name with
+and call_foreign rt (ctx : Context.t) f values =
+  match rt.resolved.(ctx.ty).(f) with
   | Some fn -> fn ctx values
-  | None -> error "foreign function %s is not registered" name
+  | None -> (
+    let name = ctx.table.mt_foreigns.(f).fs_name in
+    match Hashtbl.find_opt rt.foreigns name with
+    | Some fn ->
+      rt.resolved.(ctx.ty).(f) <- Some fn;
+      fn ctx values
+    | None -> error "foreign function %s is not registered" name)
 
 let assign (ctx : Context.t) x v =
   let v =
@@ -286,33 +289,29 @@ let raise_overflow rt dst e =
 let rec run_machine rt (ctx : Context.t) : unit =
   let continue = ref true in
   while !continue && ctx.alive && not (stepped_yield rt) do
-    (* Preemption point — only at block boundaries: before a dequeue and
-       before handling a raised event. Raised events count against the
-       quantum too (CRaise decrements it), otherwise a raise-driven
-       generator (entry sends, raises, re-enters) never reaches the
-       dequeue point and holds its scheduler forever. *)
-    (match (rt.mode, ctx.agenda) with
-    | Scheduled sc, ([] | Context.Handle _ :: _) ->
-      if sc.sc_left <= 0 then begin
-        Effect.perform (Sched_yield ctx);
-        sc.sc_left <- sc.sc_quantum
-      end
-    | _ -> ());
-    match ctx.agenda with
-    | [] -> (
+    match (rt.mode, ctx.agenda) with
+    | Scheduled sc, ([] | Context.Handle _ :: _) when sc.sc_left <= 0 ->
+      (* Preemption point — only at block boundaries: before a dequeue and
+         before handling a raised event, where the context holds all of the
+         machine's state, so the scheduler resumes it by running it again.
+         Raised events count against the quantum too (CRaise decrements
+         it), otherwise a raise-driven generator (entry sends, raises,
+         re-enters) never reaches the dequeue point and holds its
+         scheduler forever. *)
+      sc.sc_preempted <- true;
+      continue := false
+    | _, [] -> (
       (* DEQUEUE — under a stepped-mode fault plan this is a fault point
          (one index per attempt with something dequeuable, exactly like the
          interpreter); a delay fault takes the second dequeuable entry *)
       let entry =
-        with_lock rt (fun () ->
-            match (rt.mode, rt.fault_plan) with
-            | Stepped _, Some plan when Context.has_dequeuable ctx ->
-              let index = rt.fseq in
-              rt.fseq <- index + 1;
-              if P_semantics.Fault.on_dequeue plan ~index then
-                Context.dequeue_second ctx
-              else Context.dequeue ctx
-            | _ -> Context.dequeue ctx)
+        match (rt.mode, rt.fault_plan) with
+        | Stepped _, Some plan when Context.has_dequeuable ctx ->
+          let index = rt.fseq in
+          rt.fseq <- index + 1;
+          if P_semantics.Fault.on_dequeue plan ~index then Context.dequeue_second ctx
+          else Context.dequeue ctx
+        | _ -> locked rt (fun _ ctx -> Context.dequeue ctx) ctx
       in
       match entry with
       | None -> continue := false
@@ -322,11 +321,12 @@ let rec run_machine rt (ctx : Context.t) : unit =
         (match rt.meters with
         | None -> ()
         | Some m -> P_obs.Metrics.incr m.rm_dequeues);
-        emit rt (Rt_trace.Dequeued { mid = ctx.self; event = event_name rt e });
+        if tracing rt then
+          emit rt (Rt_trace.Dequeued { mid = ctx.self; event = event_name rt e });
         ctx.msg <- Some e;
         ctx.arg <- v;
         ctx.agenda <- [ Context.Handle (e, v) ])
-    | task :: rest -> exec_task rt ctx task rest
+    | _, task :: rest -> exec_task rt ctx task rest
   done
 
 and exec_task rt (ctx : Context.t) task rest =
@@ -350,7 +350,8 @@ and exec_task rt (ctx : Context.t) task rest =
     | [] -> error "machine %s #%d: no frame to enter" ctx.table.mt_name ctx.self
     | frame :: _ ->
       frame.f_state <- target;
-      emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+      if tracing rt then
+        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
       ctx.agenda <- Context.Exec (Context.state_table ctx target).st_entry :: rest)
   | Context.Exec code -> exec_code rt ctx code rest
 
@@ -369,7 +370,8 @@ and handle_event rt (ctx : Context.t) e v =
         let amap = push_amap ctx frame.f_state frame.f_amap in
         ctx.frames <-
           { Context.f_state = target; f_amap = amap; f_cont = [] } :: ctx.frames;
-        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+        if tracing rt then
+          emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
         ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ]
       | None -> (
         let action =
@@ -407,11 +409,10 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
   | Tables.CNew (x, ty, inits) -> (
     let values = List.map (fun (y, e) -> (y, eval rt ctx e)) inits in
     match rt.mode with
-    | Scheduled _ ->
-      (* the handler owns instance creation: it may place the child on
+    | Scheduled sc ->
+      (* the scheduler owns instance creation: it may place the child on
          another shard and decides when its entry statement runs *)
-      let handle = Effect.perform (Sched_spawn { creator = ctx; ty; inits = values }) in
-      assign ctx x (Rt_value.Machine handle);
+      assign ctx x (Rt_value.Machine (sc.sc_spawn ~creator:ctx.self ty values));
       ctx.agenda <- rest
     | Nested | Stepped _ ->
       let child = create_instance rt ~creator:(Some ctx.self) ty in
@@ -426,10 +427,12 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
         (* the fresh machine preempts its creator, as in the d=0 schedule *)
         ignore (run_if_idle rt child : bool))
   | Tables.CDelete ->
-    emit rt (Rt_trace.Deleted { mid = ctx.self });
-    with_lock rt (fun () ->
+    if tracing rt then emit rt (Rt_trace.Deleted { mid = ctx.self });
+    locked rt
+      (fun rt (ctx : Context.t) ->
         ctx.alive <- false;
-        Hashtbl.remove rt.instances ctx.self);
+        Hashtbl.remove rt.instances ctx.self)
+      ctx;
     ctx.agenda <- []
   | Tables.CSend (target, e, payload) -> (
     (* the interpreter resolves the target before touching the payload (and
@@ -442,13 +445,11 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
       let v = eval rt ctx payload in
       ctx.agenda <- rest;
       match rt.mode with
-      | Scheduled _ ->
-        (* the handler routes the send (possibly cross-shard); a serving
+      | Scheduled sc ->
+        (* the scheduler routes the send (possibly cross-shard); a serving
            scheduler may shed at a bounded mailbox — machine code cannot
-           react to backpressure, so the drop is the handler's to count *)
-        let (_ : Context.backpressure) =
-          Effect.perform (Sched_send { src = ctx; dst; event = e; payload = v })
-        in
+           react to backpressure, so the drop is the scheduler's to count *)
+        let (_ : Context.backpressure) = sc.sc_send ~src:ctx.self dst e v in
         ()
       | Nested | Stepped _ -> (
         match deliver rt ~src:ctx.self dst e v with
@@ -480,12 +481,11 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
       let amap = push_amap ctx frame.f_state frame.f_amap in
       ctx.frames <-
         { Context.f_state = target; f_amap = amap; f_cont = rest } :: ctx.frames;
-      emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+      if tracing rt then
+        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
       ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ])
   | Tables.CForeign_stmt (f, args) ->
-    let fs = ctx.table.mt_foreigns.(f) in
-    let values = List.map (eval rt ctx) args in
-    let _ = call_foreign rt ctx fs.fs_name values in
+    let (_ : Rt_value.t) = call_foreign rt ctx f (List.map (eval rt ctx) args) in
     ctx.agenda <- rest
 
 (* ------------------------------------------------------------------ *)
@@ -494,26 +494,22 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
 
 and adopt_instance rt ~self ~creator ty : Context.t =
   let ctx =
-    with_lock rt (fun () ->
-        if Hashtbl.mem rt.instances self then
-          invalid_arg "Exec.adopt_instance: handle already registered";
-        if self >= rt.next_handle then rt.next_handle <- self + 1;
-        let ctx =
-          Context.create ~capacity:rt.default_capacity ~self ~ty
-            ~table:rt.driver.dr_machines.(ty) ()
-        in
-        Hashtbl.replace rt.instances self ctx;
-        ctx)
+    Context.create ~capacity:rt.default_capacity ~self ~ty ~table:rt.driver.dr_machines.(ty) ()
   in
+  locked rt
+    (fun rt (ctx : Context.t) ->
+      if Hashtbl.mem rt.instances ctx.self then
+        invalid_arg "Exec.adopt_instance: handle already registered";
+      if ctx.self >= rt.next_handle then rt.next_handle <- ctx.self + 1;
+      Hashtbl.replace rt.instances ctx.self ctx)
+    ctx;
   (match rt.meters with
   | None -> ()
   | Some m -> P_obs.Metrics.incr m.rm_creates);
-  emit rt
-    (Rt_trace.Created
-       { creator; created = ctx.Context.self; kind = ctx.Context.table.mt_name });
-  emit rt
-    (Rt_trace.Entered
-       { mid = ctx.Context.self; state = state_name ctx 0 });
+  if tracing rt then begin
+    emit rt (Rt_trace.Created { creator; created = self; kind = ctx.table.mt_name });
+    emit rt (Rt_trace.Entered { mid = self; state = state_name ctx 0 })
+  end;
   ctx
 
 and create_instance rt ~creator ty : Context.t =
@@ -521,16 +517,20 @@ and create_instance rt ~creator ty : Context.t =
   adopt_instance rt ~self ~creator ty
 
 and fresh_handle rt =
-  with_lock rt (fun () ->
+  locked rt
+    (fun rt () ->
       let handle = rt.next_handle in
       rt.next_handle <- handle + 1;
       handle)
+    ()
 
-(* Deliver an event: enqueue under the lock; if the receiver is idle, claim
-   it and run it on this thread (nested run-to-completion). *)
+(* Deliver an event: enqueue (under the lock in [Nested] mode); if the
+   receiver is idle, claim it and run it on this thread (nested
+   run-to-completion). *)
 and deliver rt ~src dst e v : Context.backpressure =
   let target =
-    with_lock rt (fun () ->
+    locked rt
+      (fun rt () ->
         match Hashtbl.find_opt rt.instances dst with
         | None -> None
         | Some target ->
@@ -557,18 +557,17 @@ and deliver rt ~src dst e v : Context.backpressure =
             P_obs.Metrics.set_max m.rm_queue_hwm
               (float_of_int (Context.inbox_length target)));
           Some (target, enq))
+      ()
   in
   match target with
   | None ->
     error "send to deleted machine #%d (event %s)" dst (event_name rt e)
   | Some (_, Context.Enq_overflow) -> Context.Shed
   | Some (target, (Context.Enq_ok | Context.Enq_duplicate)) ->
-    emit rt
-      (Rt_trace.Sent
-         { src;
-           dst;
-           event = event_name rt e;
-           payload = Fmt.str "%a" Rt_value.pp v });
+    if tracing rt then
+      emit rt
+        (Rt_trace.Sent
+           { src; dst; event = event_name rt e; payload = Fmt.str "%a" Rt_value.pp v });
     if is_stepped rt then begin
       (* SEND is a scheduling point: enqueue only, stop at the block
          boundary; the schedule decides when the receiver runs *)
@@ -583,23 +582,27 @@ and deliver rt ~src dst e v : Context.backpressure =
    whether this thread claimed (and therefore ran) the machine. *)
 and run_if_idle rt (ctx : Context.t) : bool =
   let claimed =
-    with_lock rt (fun () ->
-        if ctx.Context.scheduled || not ctx.Context.alive then false
+    locked rt
+      (fun _ (ctx : Context.t) ->
+        if ctx.scheduled || not ctx.alive then false
         else begin
-          ctx.Context.scheduled <- true;
+          ctx.scheduled <- true;
           true
         end)
+      ctx
   in
   if claimed then begin
     let rec drain () =
       run_machine rt ctx;
       let again =
-        with_lock rt (fun () ->
+        locked rt
+          (fun rt (ctx : Context.t) ->
             if Context.is_runnable ctx && not (stepped_yield rt) then true
             else begin
-              ctx.Context.scheduled <- false;
+              ctx.scheduled <- false;
               false
             end)
+          ctx
       in
       if again then drain ()
     in

@@ -2,10 +2,11 @@
     table-driven implementation of the operational semantics structured
     like the C runtime of section 4. Run-to-completion: a send to an idle
     machine runs the receiver nested on the same thread (exactly the d = 0
-    causal schedule); a send to a busy machine only enqueues. The runtime
-    lock protects instance bookkeeping and inboxes but is never held while
-    machine code runs, so host threads drive disjoint machines in
-    parallel. Most callers use the {!Api} wrapper. *)
+    causal schedule); a send to a busy machine only enqueues. In [Nested]
+    mode the runtime lock protects instance bookkeeping and inboxes but is
+    never held while machine code runs, so host threads drive disjoint
+    machines in parallel; [Stepped] and [Scheduled] runtimes belong to one
+    thread and take no lock. Most callers use the {!Api} wrapper. *)
 
 module Tables = P_compile.Tables
 
@@ -28,39 +29,27 @@ type stepped = {
 exception Choice_needed
 (** A [*] was evaluated past the end of [sp_choices]. *)
 
-(** Scheduled (effects) mode: sends, spawns, [*] choices and quantum
-    expiry perform effects handled by a {!Sched} fiber handler, so one
-    domain multiplexes many machines without per-machine threads.
-    [sc_left] is the running fiber's remaining dequeue budget; at zero the
-    machine loop performs {!Sched_yield} at its next dequeue point. *)
+(** Scheduled mode: machine code calls the send, spawn and [*] choice
+    functions a {!Sched} installed, so one domain multiplexes many machines
+    without per-machine threads. [sc_left] is the running activation's
+    remaining dequeue budget; at zero the machine loop returns at its next
+    block boundary (before a dequeue or a raised event) with
+    [sc_preempted] set, and the scheduler re-queues the machine. *)
 type sched_mode = {
   sc_quantum : int;
   mutable sc_left : int;
+  mutable sc_preempted : bool;
+  sc_send : src:int -> int -> int -> Rt_value.t -> Context.backpressure;
+      (** [sc_send ~src dst event payload] *)
+  sc_spawn : creator:int -> int -> (int * Rt_value.t) list -> int;
+      (** [sc_spawn ~creator ty inits] returns the child's handle *)
+  sc_choose : Context.t -> bool;  (** resolves a ghost [*] *)
 }
 
 type mode =
   | Nested  (** run-to-completion on the calling thread (the d = 0 schedule) *)
   | Stepped of stepped  (** differential replay via {!step_block} *)
-  | Scheduled of sched_mode  (** cooperative fibers under a {!Sched} handler *)
-
-(** The effects performed by machine code in [Scheduled] mode; handled
-    exclusively by [Sched.run_fiber]. *)
-type _ Effect.t +=
-  | Sched_send : {
-      src : Context.t;
-      dst : int;
-      event : int;
-      payload : Rt_value.t;
-    }
-      -> Context.backpressure Effect.t
-  | Sched_spawn : {
-      creator : Context.t;
-      ty : int;
-      inits : (int * Rt_value.t) list;
-    }
-      -> int Effect.t
-  | Sched_yield : Context.t -> unit Effect.t
-  | Sched_choose : Context.t -> bool Effect.t
+  | Scheduled of sched_mode  (** activations driven by a {!Sched} *)
 
 exception
   Mailbox_overflow of {
@@ -85,12 +74,15 @@ type t = {
   instances : (int, Context.t) Hashtbl.t;
   mutable next_handle : int;
   foreigns : (string, foreign_fn) Hashtbl.t;
-  lock : Mutex.t;
+  mutable resolved : foreign_fn option array array;
+      (** [resolved.(ty).(f)]: machine type [ty]'s foreign [f], looked up
+          by name on its first call; {!register_foreign} clears it *)
+  lock : Mutex.t;  (** taken in [Nested] mode only *)
   mutable trace_hook : (Rt_trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
-          {!Sched} handler *)
+          {!Sched} *)
   mutable default_capacity : int;
       (** mailbox capacity for instances created from here on *)
   mutable n_dequeued : int;  (** events processed, all modes *)
@@ -107,13 +99,10 @@ val set_mailbox_capacity : t -> int -> unit
     instances keep their capacity). Raises [Invalid_argument] when not
     positive; the default is [max_int] (the semantics' unbounded queues). *)
 
-val scheduled_mode : t -> quantum:int -> unit
-(** Switch the runtime into [Scheduled] mode with the given per-activation
-    dequeue budget. Only a {!Sched} handler should call this. *)
-
-val reset_quantum : t -> unit
-(** Refill the running fiber's dequeue budget (called by the scheduler at
-    each activation boundary); no-op outside [Scheduled] mode. *)
+val scheduled_mode : t -> sched_mode -> unit
+(** Switch the runtime into [Scheduled] mode under the given scheduler
+    hooks; raises [Invalid_argument] unless [sc_quantum] is positive. Only
+    a {!Sched} should call this. *)
 
 val events_dequeued : t -> int
 (** Events processed since [create], any mode — a cheap stat read. *)
@@ -137,7 +126,8 @@ val find_instance : t -> int -> Context.t option
 
 val emit : t -> Rt_trace.item -> unit
 (** Feed the trace hook, if set (the scheduler emits [Sent] items so the
-    effects driver's observable trace matches the nested driver's). *)
+    scheduled driver's observable trace matches the nested driver's).
+    Callers build the item only when a hook is installed. *)
 
 val event_name : t -> int -> string
 
@@ -170,7 +160,8 @@ val raise_overflow : t -> int -> int -> 'a
     (looks up the target's capacity for the report). *)
 
 val run_machine : t -> Context.t -> unit
-(** One drain pass (no claim); internal, exposed for tests. *)
+(** One drain pass (no claim). In [Scheduled] mode it also returns at a
+    block boundary once the quantum is spent, with [sc_preempted] set. *)
 
 val eval : t -> Context.t -> Tables.cexpr -> Rt_value.t
 (** Evaluate a table expression in a machine context; exposed so

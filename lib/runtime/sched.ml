@@ -1,21 +1,21 @@
-(** The effects-based cooperative scheduler: one domain multiplexing many
-    machine fibers over a single {!Exec} runtime in [Scheduled] mode.
+(** The cooperative scheduler: one domain multiplexing many machines over
+    a single {!Exec} runtime in [Scheduled] mode.
 
-    Each machine runs as a fiber — {!Exec.run_machine} under an
-    [Effect.Deep] handler. Machine code performs {!Exec.Sched_send},
-    {!Exec.Sched_spawn}, {!Exec.Sched_yield} and {!Exec.Sched_choose}
-    instead of recursing on the caller's stack, and the handler decides
-    what a send or spawn *means*:
+    Machine code calls the send, spawn and [*] choice functions installed
+    here instead of recursing on the caller's stack, and the scheduler
+    decides what a send or spawn *means*:
 
     - [Causal] replays the nested run-to-completion discipline exactly: a
-      send to an idle machine runs the receiver to quiescence inside the
-      handler before the sender resumes — the d = 0 causal schedule, so
-      the observable trace is identical to the threads driver
-      (test/test_sched.ml asserts this). Fibers never suspend.
+      send to an idle machine runs the receiver to quiescence, nested
+      inside the send, before the sender continues — the d = 0 causal
+      schedule, so the observable trace is identical to the threads driver
+      (test/test_sched.ml asserts this). Machines are never preempted.
     - [Fifo] is the serving discipline: sends only enqueue and mark the
-      receiver ready; fibers are activated from a FIFO ready queue and
-      preempted at dequeue points when their quantum runs out, so one
-      chatty machine cannot starve ten thousand quiet ones.
+      receiver ready; machines are activated from a FIFO ready queue and
+      preempted at block boundaries when their quantum runs out, so one
+      chatty machine cannot starve ten thousand quiet ones. A preempted
+      machine's context holds all of its state, so it resumes by being
+      activated again: no fiber or continuation is ever captured.
 
     Everything here runs on one domain, so contexts need no locking; the
     shard layer ({!Shard}) pins one scheduler per domain and routes
@@ -24,14 +24,6 @@
 module Tables = P_compile.Tables
 
 type policy = Causal | Fifo
-
-(** Final answer of a machine fiber: ran to quiescence, or parked a
-    continuation in the ready queue (Fifo quantum expiry only). *)
-type outcome = Done | Suspended
-
-type entry =
-  | Start of Context.t  (** activate via {!Exec.run_machine} *)
-  | Resume of Context.t * (unit, outcome) Effect.Deep.continuation
 
 (** Hooks the shard layer installs to stretch one scheduler across many:
     a global handle allocator, the home predicate, and the cross-shard
@@ -79,8 +71,9 @@ let make_faults plan =
 
 type t = {
   rt : Exec.t;
+  sc : Exec.sched_mode;  (** the hooks and quantum [rt] runs under *)
   policy : policy;
-  ready : entry Queue.t;
+  ready : Context.t Queue.t;  (** claimed machines awaiting activation *)
   rng : Random.State.t option;  (** resolves ghost [*] when present *)
   router : router option;
   faults : faults option;  (** adversarial host; [None] = well-behaved *)
@@ -115,37 +108,6 @@ type stats = {
   st_fault_reorders : int;  (** injected reorders (front-of-queue insert) *)
   st_crash_restarts : int;  (** injected crash-restarts at activation *)
 }
-
-let create ?(policy = Fifo) ?(quantum = 64) ?capacity ?seed ?faults ?router
-    (driver : Tables.driver) : t =
-  let rt = Exec.create driver in
-  (match capacity with None -> () | Some c -> Exec.set_mailbox_capacity rt c);
-  (* causal fibers run to completion: an infinite quantum means the yield
-     effect is never performed on the hot path *)
-  Exec.scheduled_mode rt
-    ~quantum:(match policy with Causal -> max_int | Fifo -> quantum);
-  { rt;
-    policy;
-    ready = Queue.create ();
-    rng = Option.map (fun s -> Random.State.make [| s |]) seed;
-    router;
-    faults =
-      (match faults with
-      | Some p when not (P_semantics.Fault.is_none p) -> Some (make_faults p)
-      | _ -> None);
-    meters = None;
-    c_sends = 0;
-    c_spawns = 0;
-    c_activations = 0;
-    c_yields = 0;
-    c_shed_mailbox = 0;
-    c_dead_letters = 0;
-    ready_hwm = 0;
-    f_activations = 0;
-    f_yields = 0;
-    f_shed_mailbox = 0;
-    f_dead_letters = 0;
-    f_faults = 0 }
 
 let fault_total (sf : faults) =
   sf.sf_drops + sf.sf_dups + sf.sf_reorders + sf.sf_crashes
@@ -205,68 +167,30 @@ let stats t : stats =
 
 let ready_length t = Queue.length t.ready
 
-let push_ready t entry =
-  Queue.push entry t.ready;
+let push_ready t ctx =
+  Queue.push ctx t.ready;
   let n = Queue.length t.ready in
   if n > t.ready_hwm then t.ready_hwm <- n
 
 (* ------------------------------------------------------------------ *)
-(* The fiber handler                                                   *)
+(* Activations                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [ctx] as a fiber until it quiesces or (Fifo) parks itself. The
-   deep handler stays installed across resumptions, so a parked
-   continuation re-enters scheduling simply by being continued. *)
-let rec run_fiber t (ctx : Context.t) : outcome =
-  Effect.Deep.match_with
-    (fun () -> Exec.run_machine t.rt ctx)
-    ()
-    { retc =
-        (fun () ->
-          ctx.Context.scheduled <- false;
-          Done);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Exec.Sched_send { src; dst; event; payload } ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                match route_send t ~src:src.Context.self dst event payload with
-                | bp -> Effect.Deep.continue k bp
-                | exception e -> Effect.Deep.discontinue k e)
-          | Exec.Sched_spawn { creator; ty; inits } ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                match spawn_child t ~creator:creator.Context.self ty inits with
-                | handle -> Effect.Deep.continue k handle
-                | exception e -> Effect.Deep.discontinue k e)
-          | Exec.Sched_yield yctx ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                match t.policy with
-                | Causal -> Effect.Deep.continue k ()
-                | Fifo ->
-                  t.c_yields <- t.c_yields + 1;
-                  push_ready t (Resume (yctx, k));
-                  Suspended)
-          | Exec.Sched_choose cctx ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                match t.rng with
-                | Some st -> Effect.Deep.continue k (Random.State.bool st)
-                | None ->
-                  Effect.Deep.discontinue k
-                    (Exec.Runtime_error
-                       (Fmt.str
-                          "machine %s #%d: nondeterministic '*' needs a seed \
-                           in scheduled mode"
-                          cctx.Context.table.mt_name cctx.Context.self)))
-          | _ -> None) }
+(* Run a claimed machine until it quiesces, or (Fifo) until its quantum
+   runs out at a block boundary: then it stays claimed and goes to the
+   back of the ready queue. *)
+let run_activation t (ctx : Context.t) =
+  Exec.run_machine t.rt ctx;
+  if t.sc.sc_preempted then begin
+    t.sc.sc_preempted <- false;
+    t.c_yields <- t.c_yields + 1;
+    push_ready t ctx
+  end
+  else ctx.scheduled <- false
 
-(* Activate an idle machine: claim it and run its fiber (Causal), or just
-   mark it ready (Fifo). *)
-and activate t (target : Context.t) : Context.backpressure =
+(* Activate an idle machine: claim it and run it (Causal), or just mark
+   it ready (Fifo). *)
+let rec activate t (target : Context.t) : Context.backpressure =
   if target.Context.scheduled || not target.Context.alive then Context.Queued
   else begin
     target.Context.scheduled <- true;
@@ -275,10 +199,10 @@ and activate t (target : Context.t) : Context.backpressure =
       (* the receiver preempts the sender and quiesces first — the d = 0
          causal stack order of the nested driver *)
       t.c_activations <- t.c_activations + 1;
-      let (_ : outcome) = run_fiber t target in
+      run_activation t target;
       Context.Accepted
     | Fifo ->
-      push_ready t (Start target);
+      push_ready t target;
       Context.Queued
   end
 
@@ -384,6 +308,54 @@ and adopt_spawn t ~handle ~creator ty inits : unit =
   let (_ : Context.backpressure) = activate t child in
   ()
 
+(* A ghost [*] under the scheduler: drawn from the seeded generator. *)
+let choose t (ctx : Context.t) =
+  match t.rng with
+  | Some st -> Random.State.bool st
+  | None ->
+    Exec.error "machine %s #%d: nondeterministic '*' needs a seed in scheduled mode"
+      ctx.table.mt_name ctx.self
+
+let create ?(policy = Fifo) ?(quantum = 64) ?capacity ?seed ?faults ?router
+    (driver : Tables.driver) : t =
+  let rt = Exec.create driver in
+  (match capacity with None -> () | Some c -> Exec.set_mailbox_capacity rt c);
+  (* causal machines run to completion: an infinite quantum never preempts *)
+  let quantum = match policy with Causal -> max_int | Fifo -> quantum in
+  let rec t =
+    { rt;
+      sc =
+        { Exec.sc_quantum = quantum;
+          sc_left = quantum;
+          sc_preempted = false;
+          sc_send = (fun ~src dst event payload -> route_send t ~src dst event payload);
+          sc_spawn = (fun ~creator ty inits -> spawn_child t ~creator ty inits);
+          sc_choose = (fun ctx -> choose t ctx) };
+      policy;
+      ready = Queue.create ();
+      rng = Option.map (fun s -> Random.State.make [| s |]) seed;
+      router;
+      faults =
+        (match faults with
+        | Some p when not (P_semantics.Fault.is_none p) -> Some (make_faults p)
+        | _ -> None);
+      meters = None;
+      c_sends = 0;
+      c_spawns = 0;
+      c_activations = 0;
+      c_yields = 0;
+      c_shed_mailbox = 0;
+      c_dead_letters = 0;
+      ready_hwm = 0;
+      f_activations = 0;
+      f_yields = 0;
+      f_shed_mailbox = 0;
+      f_dead_letters = 0;
+      f_faults = 0 }
+  in
+  Exec.scheduled_mode rt t.sc;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -396,17 +368,16 @@ let run_ready t ~fuel : int =
   while !n < fuel && not (Queue.is_empty t.ready) do
     incr n;
     t.c_activations <- t.c_activations + 1;
-    Exec.reset_quantum t.rt;
-    let entry = Queue.pop t.ready in
+    t.sc.sc_left <- t.sc.sc_quantum;
+    let ctx = Queue.pop t.ready in
     (* activation is a fault point: the machine about to run may
        crash-restart, keeping its store but losing frames, agenda, and
-       mailbox (the {!Context.restart} contract). Safe for parked
-       continuations too: the fiber suspends at the top of the machine
-       loop, which re-reads the context's agenda on resume. *)
+       mailbox (the {!Context.restart} contract). Safe for preempted
+       machines too: they stopped at a block boundary, and the context
+       is all there is to resume. *)
     (match t.faults with
     | None -> ()
     | Some sf ->
-      let ctx = match entry with Start c | Resume (c, _) -> c in
       if ctx.Context.alive then begin
         let index = sf.sf_next in
         sf.sf_next <- index + 1;
@@ -415,9 +386,7 @@ let run_ready t ~fuel : int =
           Context.restart ctx
         end
       end);
-    match entry with
-    | Start ctx -> ignore (run_fiber t ctx : outcome)
-    | Resume (_, k) -> ignore (Effect.Deep.continue k () : outcome)
+    run_activation t ctx
   done;
   !n
 
@@ -435,7 +404,6 @@ let run t : unit =
     policies run the receiver before returning ([Accepted]); Fifo marks
     it ready for the next {!run_ready} pump. *)
 let post t ~src dst event payload : Context.backpressure =
-  Exec.reset_quantum t.rt;
   local_send t ~src dst event payload
 
 let add_event t dst (event : string) payload : Context.backpressure =
@@ -452,6 +420,5 @@ let create_machine t ?handle (machine : string) : int =
     let self =
       match handle with Some h -> h | None -> Exec.fresh_handle t.rt
     in
-    Exec.reset_quantum t.rt;
     adopt_spawn t ~handle:self ~creator:None ty [];
     self

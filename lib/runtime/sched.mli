@@ -1,15 +1,14 @@
-(** The effects-based cooperative scheduler: one domain multiplexing many
-    machine fibers over one {!Exec} runtime in [Scheduled] mode. Machine
-    code performs {!Exec.Sched_send} / {!Exec.Sched_spawn} /
-    {!Exec.Sched_yield} / {!Exec.Sched_choose}; the handler here gives
-    them meaning under one of two policies:
+(** The cooperative scheduler: one domain multiplexing many machines over
+    one {!Exec} runtime in [Scheduled] mode. Machine code calls the send,
+    spawn and [*] choice functions this module installs in
+    {!Exec.sched_mode}; they take effect under one of two policies:
 
-    - [Causal]: a send to an idle machine runs the receiver to quiescence
-      inside the handler before the sender resumes — the nested driver's
-      d = 0 schedule, observably trace-identical to it.
+    - [Causal]: a send to an idle machine runs the receiver to quiescence,
+      nested inside the send, before the sender continues — the nested
+      driver's d = 0 schedule, observably trace-identical to it.
     - [Fifo]: the serving discipline — sends only enqueue and mark ready;
-      fibers are activated FIFO and preempted at dequeue points when
-      their quantum expires.
+      machines are activated FIFO and, when their quantum expires, return
+      at a block boundary and go back on the ready queue.
 
     Single-domain by construction: contexts are never locked here. The
     {!Shard} layer pins one scheduler per domain and stitches them
@@ -18,10 +17,6 @@
 module Tables = P_compile.Tables
 
 type policy = Causal | Fifo
-
-(** Final answer of a machine fiber: ran to quiescence, or (Fifo quantum
-    expiry) parked its continuation in the ready queue. *)
-type outcome = Done | Suspended
 
 (** Hooks the shard layer installs: a global handle allocator, the home
     predicate, and cross-shard send/spawn paths (which enqueue into

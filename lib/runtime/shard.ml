@@ -476,7 +476,7 @@ let sends_total t =
 
 (** Spawn the shard domains. The telemetry probe maps the sampler's
     exploration vocabulary onto serving terms: states ≙ events processed,
-    transitions ≙ local deliveries, frontier ≙ ready fibers — so
+    transitions ≙ local deliveries, frontier ≙ ready machines — so
     [states_per_s] reads as sustained events/sec and [shed] carries the
     backpressure drops. *)
 let start t =

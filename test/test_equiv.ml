@@ -15,9 +15,9 @@ let bool_t = Alcotest.bool
 
 (* Both runtime drivers behind one face, selected by PCAML_TEST_SCHED:
    "threads" (default) is the historical nested run-to-completion driver;
-   "effects" is the causal-policy effects scheduler, which must produce
-   the same observable traces (and so transitively the same d=0
-   equivalence with the simulator). *)
+   "effects" (a historical name) is the causal-policy Sched driver, which
+   must produce the same observable traces (and so transitively the same
+   d=0 equivalence with the simulator). *)
 let make_runtime driver =
   match Sys.getenv_opt "PCAML_TEST_SCHED" with
   | Some "effects" ->

@@ -30,7 +30,8 @@
 
    PCAML_TEST_SCHED=effects adds a third axis over the runtime driver:
    every generated program additionally runs under both the historical
-   nested run-to-completion driver and the Causal effects scheduler,
+   nested run-to-completion driver and the Causal policy of the Sched
+   driver (the axis keeps its historical name),
    which must produce byte-identical observable traces (machine-visible
    event orders) and identical error outcomes.
 
@@ -62,8 +63,8 @@ let store_under_test =
     | Ok k -> k
     | Error e -> failwith ("PCAML_TEST_STORE: " ^ e))
 
-(* The runtime-driver axis: nested threads driver vs Causal effects
-   scheduler. Off by default (the default runtest already exercises the
+(* The runtime-driver axis: nested threads driver vs the Causal Sched
+   driver. Off by default (the default runtest already exercises the
    nested driver through Differential); CI enables it explicitly. *)
 let sched_effects_under_test =
   match Sys.getenv_opt "PCAML_TEST_SCHED" with

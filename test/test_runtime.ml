@@ -121,7 +121,16 @@ let test_external_memory () =
   Api.add_event rt h "SwitchOn" Rt_value.Null;
   Api.add_event rt h "SwitchOff" Rt_value.Null;
   check int_t "foreign sees external memory" 2 !counted;
-  check int_t "foreign called per entry" 3 !writes (* initial Off + On + Off *)
+  check int_t "foreign called per entry" 3 !writes (* initial Off + On + Off *);
+  (* a machine resolves its foreigns once; re-registering must replace
+     the function it already resolved *)
+  let rewrites = ref 0 in
+  Api.register_foreign rt "set_led" (fun _ _ ->
+      incr rewrites;
+      Rt_value.Null);
+  Api.add_event rt h "SwitchOn" Rt_value.Null;
+  check int_t "the re-registered foreign runs" 1 !rewrites;
+  check int_t "the replaced one does not" 3 !writes
 
 let test_unregistered_foreign_fails () =
   let rt = runtime_of (P_examples_lib.Switch_led.program ()) in
@@ -224,10 +233,56 @@ let test_inbox_interleaved_enqueue_dequeue () =
   check bool_t "re-enqueued out" true (Context.dequeue ctx = Some (0, Rt_value.Int 1));
   check bool_t "empty" true (Context.dequeue ctx = None)
 
+let test_inbox_dedup_across_scan_limit () =
+  (* ⊕ membership is a scan of the two lists up to [Context.scan_limit]
+     entries and a counting table beyond it; both must agree with ⊕ *)
+  let { P_compile.Compile.driver; _ } =
+    P_compile.Compile.compile (P_examples_lib.Pingpong.program ())
+  in
+  let ctx = Context.create ~self:0 ~ty:0 ~table:driver.dr_machines.(0) () in
+  ctx.Context.agenda <- [];
+  let enq i = Context.enqueue ctx 0 (Rt_value.Int i) in
+  let deq () = Context.dequeue ctx in
+  let has_table () = ctx.Context.inbox.ib_members <> None in
+  check bool_t "first copy" true (enq 0 = Context.Enq_ok);
+  (* a duplication fault's forced copy, queued before any table exists *)
+  check bool_t "forced copy" true
+    (Context.enqueue_no_dedup ctx 0 (Rt_value.Int 0) = Context.Enq_ok);
+  check bool_t "absorbed below the limit" true (enq 0 = Context.Enq_duplicate);
+  check bool_t "no table below the limit" false (has_table ());
+  for i = 1 to Context.scan_limit do
+    check bool_t "distinct entries queue" true (enq i = Context.Enq_ok)
+  done;
+  check bool_t "table built past the limit" true (has_table ());
+  check bool_t "absorbed above the limit" true (enq Context.scan_limit = Context.Enq_duplicate);
+  check bool_t "first copy out" true (deq () = Some (0, Rt_value.Int 0));
+  check bool_t "the forced copy is still counted" true (enq 0 = Context.Enq_duplicate);
+  check bool_t "forced copy out" true (deq () = Some (0, Rt_value.Int 0));
+  check bool_t "membership leaves with the last copy" true (enq 0 = Context.Enq_ok);
+  for i = 1 to Context.scan_limit do
+    check bool_t "FIFO order" true (deq () = Some (0, Rt_value.Int i))
+  done;
+  check bool_t "re-enqueued entry last" true (deq () = Some (0, Rt_value.Int 0));
+  check bool_t "drained" true (deq () = None);
+  check bool_t "an empty mailbox drops its table" false (has_table ());
+  check bool_t "a drained pair is accepted again" true (enq 1 = Context.Enq_ok);
+  (* restart clears membership on both sides of the limit *)
+  Context.restart ctx;
+  check bool_t "restart clears a short mailbox" true (enq 1 = Context.Enq_ok);
+  for i = 2 to Context.scan_limit + 2 do
+    ignore (enq i : Context.enqueue_result)
+  done;
+  check bool_t "table built again" true (has_table ());
+  Context.restart ctx;
+  check bool_t "restart drops the table" false (has_table ());
+  check int_t "restart empties the mailbox" 0 (Context.inbox_length ctx);
+  check bool_t "restart clears a long mailbox" true (enq 5 = Context.Enq_ok)
+
 let suite =
   [ Alcotest.test_case "pingpong runs" `Quick test_pingpong_runs;
     Alcotest.test_case "inbox bulk enqueue" `Quick test_inbox_bulk_enqueue_is_fast;
     Alcotest.test_case "inbox interleaving" `Quick test_inbox_interleaved_enqueue_dequeue;
+    Alcotest.test_case "inbox ⊕ across the scan limit" `Quick test_inbox_dedup_across_scan_limit;
     Alcotest.test_case "add_event drives" `Quick test_add_event_drives_machine;
     Alcotest.test_case "assert raises" `Quick test_runtime_assert_raises;
     Alcotest.test_case "unhandled raises" `Quick test_runtime_unhandled_event_raises;

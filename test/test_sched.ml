@@ -1,11 +1,12 @@
-(* The effects scheduler ({!P_runtime.Sched}) and the sharded serving
-   runtime ({!P_runtime.Shard}):
+(* The cooperative scheduler ({!P_runtime.Sched}), driven by direct calls
+   from machine code, and the sharded serving runtime ({!P_runtime.Shard}):
 
    - the Causal policy is observably trace-identical to the historical
      nested run-to-completion driver (and hence, via test_equiv, to the
      d = 0 slice of the delaying scheduler);
    - the Fifo serving discipline completes the same programs under
-     quantum preemption;
+     quantum preemption, which stops a machine at a block boundary and
+     resumes it from its context alone (no continuation is captured);
    - typed backpressure holds at every layer: Context mailbox bounds,
      the Api Shed/overflow contract, scheduler-level silent shedding,
      and the shard ingress bound;
@@ -80,15 +81,41 @@ let test_fifo_completes () =
   check int_t "one spawn (the ponger)" 1 st.Sched.st_spawns;
   check int_t "nothing shed" 0 st.Sched.st_shed_mailbox
 
+(* Preemption returns from the machine loop at a block boundary and the
+   scheduler resumes the machine by activating it again: the context is
+   all there is. A 1-dequeue quantum must therefore send exactly what the
+   default quantum sends and end in the same states. Its dequeues differ
+   only by what ⊕ absorbs under the other interleaving: with the default
+   quantum the bounded buffer's consumer digests two items in one
+   activation and sends two payload-less [Credit]s back to back, so the
+   second is absorbed. *)
 let test_quantum_preemption () =
-  let driver = compile (P_examples_lib.Pingpong.program ~rounds:8 ()) in
-  let s = Sched.create ~policy:Sched.Fifo ~quantum:1 driver in
-  let h = Sched.create_machine s "Pinger" in
-  Sched.run s;
-  check state_t "completes under a 1-dequeue quantum" (Some "Finished")
-    (Api.current_state_name (Sched.exec s) h);
-  let st = Sched.stats s in
-  check bool_t "fibers were preempted" true (st.Sched.st_yields > 0)
+  let run ?quantum program main =
+    let s = Sched.create ~policy:Sched.Fifo ?quantum (compile program) in
+    let (_ : int) = Sched.create_machine s main in
+    Sched.run s;
+    let rt = Sched.exec s in
+    (List.init rt.Exec.next_handle (Api.current_state_name rt), Sched.stats s)
+  in
+  List.iter
+    (fun (name, program, main, absorbed) ->
+      let states, st = run program main in
+      let states1, st1 = run ~quantum:1 program main in
+      check (Alcotest.list state_t) (name ^ ": same final states") states states1;
+      check int_t (name ^ ": same sends") st.Sched.st_sends st1.Sched.st_sends;
+      check int_t (name ^ ": dequeues, default quantum") (st.Sched.st_sends - absorbed)
+        st.Sched.st_dequeues;
+      check int_t (name ^ ": dequeues, quantum 1") st1.Sched.st_sends st1.Sched.st_dequeues;
+      check int_t (name ^ ": never preempted by default") 0 st.Sched.st_yields;
+      check bool_t (name ^ ": preempted under quantum 1") true (st1.Sched.st_yields > 0))
+    [ ("pingpong-8", P_examples_lib.Pingpong.program ~rounds:8 (), "Pinger", 0);
+      ( "boundedbuffer-6-2",
+        P_examples_lib.Bounded_buffer.program ~items:6 ~credits:2 (),
+        "Producer",
+        1 ) ];
+  let states1, _ = run ~quantum:1 (P_examples_lib.Pingpong.program ~rounds:8 ()) "Pinger" in
+  check state_t "pinger completes under a 1-dequeue quantum" (Some "Finished")
+    (List.hd states1)
 
 (* ------------------------------------------------------------------ *)
 (* Backpressure, layer by layer                                        *)
@@ -410,6 +437,35 @@ let test_fault_crash_restart_mailbox () =
   check state_t "machine survives every crash" (Some "Idle")
     (Api.current_state_name (Sched.exec s) h)
 
+let test_fault_crash_preempted () =
+  (* crash-restarts at activation also hit machines a 1-dequeue quantum
+     preempted. Pumping one activation at a time accounts for each crash's
+     cleared mail, so every post is either dequeued or cleared, exactly *)
+  let driver = compile (sink_program ()) in
+  let s = Sched.create ~policy:Sched.Fifo ~quantum:1 ~faults:(plan ~crash:300 7) driver in
+  let h = Sched.create_machine s "M" in
+  let rt = Sched.exec s in
+  let cleared = ref 0 in
+  let pump () =
+    let queued = Api.queue_length rt h and crashes = (Sched.stats s).Sched.st_crash_restarts in
+    let ran = Sched.run_ready s ~fuel:1 in
+    if (Sched.stats s).Sched.st_crash_restarts > crashes then cleared := !cleared + queued;
+    ran > 0
+  in
+  for i = 0 to 59 do
+    ignore (Sched.add_event s h "E" (Rt_value.Int i) : Context.backpressure);
+    if i mod 3 = 0 then ignore (pump () : bool)
+  done;
+  while pump () do () done;
+  let st = Sched.stats s in
+  check bool_t "crash-restarts injected" true (st.Sched.st_crash_restarts > 0);
+  check bool_t "machines were preempted" true (st.Sched.st_yields > 0);
+  check int_t "every post delivered" 60 st.Sched.st_sends;
+  check int_t "dequeued + cleared by crashes = posted" 60 (st.Sched.st_dequeues + !cleared);
+  check int_t "quiescent" 0 (Sched.ready_length s);
+  check int_t "mailbox drained" 0 (Api.queue_length rt h);
+  check state_t "machine survives every crash" (Some "Idle") (Api.current_state_name rt h)
+
 let test_fault_schedule_deterministic () =
   (* same workload + same plan ⇒ same fault schedule: stats and the full
      observable trace are bit-identical across runs *)
@@ -523,6 +579,7 @@ let suite =
     Alcotest.test_case "fault: dup bypasses ⊕" `Quick test_fault_dup_bypasses_dedup;
     Alcotest.test_case "fault: reorder conserves" `Quick test_fault_reorder_conserves;
     Alcotest.test_case "fault: crash-restart mailbox" `Quick test_fault_crash_restart_mailbox;
+    Alcotest.test_case "fault: crash-restart preempted" `Quick test_fault_crash_preempted;
     Alcotest.test_case "fault: deterministic schedule" `Quick test_fault_schedule_deterministic;
     Alcotest.test_case "shard fault conservation" `Quick test_shard_fault_conservation;
     Alcotest.test_case "shard dead letters under drops" `Quick
