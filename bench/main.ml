@@ -6,14 +6,9 @@
            dune exec bench/main.exe -- fig7    (Figure 7 sweep)
            dune exec bench/main.exe -- bugs    (bug-finding at low delay bounds)
            dune exec bench/main.exe -- fig8    (Figure 8 table + per-store deep run;
-                                                --store exact|compact
-                                                selects one store, --smoke shrinks
-                                                the budgets to CI scale)
+                                                --smoke shrinks the budgets)
            dune exec bench/main.exe -- overhead (section 4.1 comparison)
            dune exec bench/main.exe -- ablation (design-choice ablations)
-           dune exec bench/main.exe -- digest-throughput
-                                               (incremental vs reference digests)
-           dune exec bench/main.exe -- scaling (work-stealing engine across domains)
            dune exec bench/main.exe -- reduce  (state-space reduction: sleep-set
                                                 POR across the example
                                                 suite and the USB stack; --smoke
@@ -27,22 +22,38 @@
            dune exec bench/main.exe -- protocol-scaling
                                                (German's directory with n clients)
            dune exec bench/main.exe -- micro   (Bechamel micro-benchmarks)
+           dune exec bench/main.exe -- smoke   (every recorded table at tiny budgets)
+           dune exec bench/main.exe -- compare OLD.json NEW.json
+                                               (exact regression gate)
+   Every subcommand takes [--json FILE] to write its numbers as one
+   p-bench/1 document.
 
    Absolute numbers will differ from the paper's 2013 testbed (Zing on a
    multicore Windows box, hours-long runs); the *shape* of each result is
-   the reproduction target. Budgets are sized so the default run finishes
-   in a few minutes. *)
+   the reproduction target. The gated columns — state and transition
+   counts, verdicts, bug depths — are deterministic and machine
+   independent; wall-clock columns are printed for orientation only, and
+   repeated, spread-reporting timing is perfbench's job. Budgets are sized
+   so the default run finishes in a few minutes. *)
 
 open P_checker
 module Json = P_obs.Json
 
 let line fmt = Fmt.pr (fmt ^^ "@.")
+
+(* A broken contract: reported on stderr, and the run exits 1 at the end. *)
+let failed = ref false
+
+let fail fmt =
+  failed := true;
+  Fmt.epr ("FAIL: " ^^ fmt ^^ "@.")
 let hr () = line "%s" (String.make 78 '-')
 
 let tab_of p = P_static.Check.run_exn p
 
 (* Every experiment records its numbers here; [--json FILE] writes them all
-   as one document (BENCH_results.json in the paper-reproduction workflow). *)
+   as one document (bench/fixtures/smoke-baseline.json is one, from the
+   [smoke] subcommand). *)
 let results : (string * Json.t) list ref = ref []
 
 let record key json = results := (key, json) :: !results
@@ -51,9 +62,7 @@ let write_results path =
   let doc =
     Json.Obj
       [ ("schema", Json.String "p-bench/1");
-        (* machine context (cores, OCaml version, word size, git rev): every
-           number in this document is meaningless without it, and [compare]
-           warns when two documents came from different machines *)
+        (* the machine the wall-clock columns were measured on *)
         ("machine", P_obs.Machine_info.json ());
         ("results", Json.Obj (List.rev !results)) ]
   in
@@ -68,6 +77,19 @@ let json_of_stats (s : Search.stats) : Json.t =
       ("max_depth", Json.Int s.max_depth);
       ("truncated", Json.Bool s.truncated);
       ("elapsed_s", Json.Float s.elapsed_s) ]
+
+(* "+" after a state count marks a run the budget cut short *)
+let trunc_mark (s : Search.stats) = if s.truncated then "+" else " "
+
+(* The least delay bound d <= [upto] at which [explore d] reports an error:
+   that bound, the run and its counterexample. *)
+let rec first_error ?(d = 0) ~upto explore =
+  if d > upto then None
+  else
+    let r : Search.result = explore d in
+    match r.verdict with
+    | Search.Error_found ce -> Some (d, r, ce)
+    | Search.No_error -> first_error ~d:(d + 1) ~upto explore
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: states explored with increasing delay bound               *)
@@ -98,7 +120,7 @@ let fig7 ?(max_states = 400_000) ?(bounds = [ 0; 1; 2; 3; 4; 5; 6; 8; 10; 12 ]) 
                   ("delay_bound", Json.Int d);
                   ("stats", json_of_stats r.stats) ]
               :: !rows;
-            Fmt.str "%13d%s" r.stats.states (if r.stats.truncated then "+" else " "))
+            Fmt.str "%13d%s" r.stats.states (trunc_mark r.stats))
           benchmarks
       in
       line "%-12d %s" d (String.concat " " cells))
@@ -118,32 +140,22 @@ let bugs () =
   List.iter
     (fun (name, p) ->
       let tab = tab_of p in
-      let rec try_bound d =
-        if d > 4 then begin
+      let explore d = Delay_bounded.explore ~delay_bound:d ~max_states:500_000 tab in
+      let row =
+        match first_error ~upto:4 explore with
+        | None ->
           line "%-14s NOT FOUND within d<=4" name;
-          rows :=
-            Json.Obj [ ("benchmark", Json.String name); ("found_at", Json.Null) ]
-            :: !rows
-        end
-        else
-          let r = Delay_bounded.explore ~delay_bound:d ~max_states:500_000 tab in
-          match r.verdict with
-          | Search.Error_found ce ->
-            line "%-14s %-8d %-10d %-8d %a" name d r.stats.states ce.depth
-              P_semantics.Errors.pp_kind ce.error.kind;
-            rows :=
-              Json.Obj
-                [ ("benchmark", Json.String name);
-                  ("found_at", Json.Int d);
-                  ("depth", Json.Int ce.depth);
-                  ( "error",
-                    Json.String
-                      (Fmt.str "%a" P_semantics.Errors.pp_kind ce.error.kind) );
-                  ("stats", json_of_stats r.stats) ]
-              :: !rows
-          | Search.No_error -> try_bound (d + 1)
+          [ ("benchmark", Json.String name); ("found_at", Json.Null) ]
+        | Some (d, r, ce) ->
+          line "%-14s %-8d %-10d %-8d %a" name d r.stats.states ce.depth
+            P_semantics.Errors.pp_kind ce.error.kind;
+          [ ("benchmark", Json.String name);
+            ("found_at", Json.Int d);
+            ("depth", Json.Int ce.depth);
+            ("error", Json.String (Fmt.str "%a" P_semantics.Errors.pp_kind ce.error.kind));
+            ("stats", json_of_stats r.stats) ]
       in
-      try_bound 0)
+      rows := Json.Obj row :: !rows)
     [ ("elevator", P_examples_lib.Elevator.buggy_program ());
       ("switch-led", P_examples_lib.Switch_led.buggy_program ());
       ("german", P_examples_lib.German.buggy_program ());
@@ -190,9 +202,7 @@ let fig8 ?(max_states = 250_000) ?(delay_bound = 1) () =
       line "%-8s %8d %13d %9d%s %10.2f %10.1f %12.0f" spec.P_usb.Gen.name
         (P_syntax.Ast.machine_state_count m)
         (P_syntax.Ast.machine_transition_count m)
-        r.stats.states
-        (if r.stats.truncated then "+" else " ")
-        r.stats.elapsed_s heap_mb
+        r.stats.states (trunc_mark r.stats) r.stats.elapsed_s heap_mb
         (float_of_int r.stats.states /. r.stats.elapsed_s);
       rows :=
         Json.Obj
@@ -212,13 +222,11 @@ let fig8 ?(max_states = 250_000) ?(delay_bound = 1) () =
    state store. The paper's table reaches millions of states on an
    hours-scale testbed; the compact store holds a run of that class in a
    flat off-heap fingerprint arena (no per-state heap allocation, several
-   times fewer bytes per state than the exact hashtable). Every row
-   records the store's measured footprint so [bench compare] gates
-   memory, not just wall clock. *)
-let store_kinds = [ State_store.Exact; State_store.Compact ]
-
-let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1)
-    ?(stores = store_kinds) () =
+   times fewer bytes per state than the exact hashtable). [compare] gates
+   each row's counts, which both stores must agree on; the measured
+   footprint (store MB, bytes per state) is recorded for reading, not
+   gated. *)
+let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1) () =
   line "== Figure 8 (deep): USB stack, one run per state store ==";
   line "   (d=%d, %d-state budget; 'vs exact' is the bytes-per-state reduction"
     delay_bound max_states;
@@ -246,9 +254,7 @@ let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1)
       in
       line "%-9s %8d%s %12d %8.2f %10.0f %9.1f %8.1f %9s"
         (State_store.kind_to_string store)
-        r.stats.states
-        (if r.stats.truncated then "+" else " ")
-        r.stats.transitions r.stats.elapsed_s
+        r.stats.states (trunc_mark r.stats) r.stats.transitions r.stats.elapsed_s
         (float_of_int r.stats.states /. r.stats.elapsed_s)
         (float_of_int st.State_store.s_bytes /. 1e6)
         bps
@@ -269,7 +275,7 @@ let fig8_stores ?(max_states = 1_050_000) ?(delay_bound = 1)
             [ ("reduction_vs_exact", Json.Float reduction) ]
           else [])
         :: !rows)
-    stores;
+    [ State_store.Exact; State_store.Compact ];
   record "fig8_store" (Json.List (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
@@ -339,17 +345,14 @@ let ablation ?(max_states = 150_000) () =
   ab1_row "delay-bounded d=0" d0.stats;
   let d2 = Delay_bounded.explore ~delay_bound:2 ~max_states tab in
   line "%-28s %9d%s %10d %10.2f" "delay-bounded d=2" d2.stats.states
-    (if d2.stats.truncated then "+" else " ")
-    d2.stats.max_depth d2.stats.elapsed_s;
+    (trunc_mark d2.stats) d2.stats.max_depth d2.stats.elapsed_s;
   ab1_row "delay-bounded d=2" d2.stats;
   List.iter
     (fun k ->
       let r = Depth_bounded.explore ~depth_bound:k ~max_states tab in
       line "%-28s %9d%s %10d %10.2f"
         (Fmt.str "depth-bounded k=%d" k)
-        r.stats.states
-        (if r.stats.truncated then "+" else " ")
-        r.stats.max_depth r.stats.elapsed_s;
+        r.stats.states (trunc_mark r.stats) r.stats.max_depth r.stats.elapsed_s;
       ab1_row (Fmt.str "depth-bounded k=%d" k) r.stats)
     [ 10; 14; 18 ];
   line "-> at equal budgets, depth bounding exhausts the budget at a fraction of";
@@ -361,29 +364,21 @@ let ablation ?(max_states = 150_000) () =
   line "%-28s %12s %12s" "scheduler" "bug@d" "states";
   List.iter
     (fun (name, discipline) ->
-      let rec find d =
-        if d > 6 then begin
-          line "%-28s %12s %12s" name "none<=6" "-";
-          ab2 :=
-            Json.Obj [ ("scheduler", Json.String name); ("found_at", Json.Null) ]
-            :: !ab2
-        end
-        else
-          let r =
-            Delay_bounded.explore ~discipline ~delay_bound:d ~max_states:500_000 tab_b
-          in
-          match r.verdict with
-          | Search.Error_found _ ->
-            line "%-28s %12d %12d" name d r.stats.states;
-            ab2 :=
-              Json.Obj
-                [ ("scheduler", Json.String name);
-                  ("found_at", Json.Int d);
-                  ("states", Json.Int r.stats.states) ]
-              :: !ab2
-          | Search.No_error -> find (d + 1)
+      let explore d =
+        Delay_bounded.explore ~discipline ~delay_bound:d ~max_states:500_000 tab_b
       in
-      find 0)
+      let row =
+        match first_error ~upto:6 explore with
+        | None ->
+          line "%-28s %12s %12s" name "none<=6" "-";
+          [ ("scheduler", Json.String name); ("found_at", Json.Null) ]
+        | Some (d, r, _) ->
+          line "%-28s %12d %12d" name d r.stats.states;
+          [ ("scheduler", Json.String name);
+            ("found_at", Json.Int d);
+            ("states", Json.Int r.stats.states) ]
+      in
+      ab2 := Json.Obj row :: !ab2)
     [ ("causal (paper)", Delay_bounded.Causal);
       ("round-robin (Emmi et al.)", Delay_bounded.Round_robin) ];
   hr ();
@@ -394,8 +389,7 @@ let ablation ?(max_states = 150_000) () =
     (fun (name, dedup) ->
       let r = Delay_bounded.explore ~dedup ~delay_bound:1 ~max_states tab_e in
       line "%-28s %9d%s states, %d transitions, closure: %b" name r.stats.states
-        (if r.stats.truncated then "+" else " ")
-        r.stats.transitions (not r.stats.truncated);
+        (trunc_mark r.stats) r.stats.transitions (not r.stats.truncated);
       ab3 :=
         Json.Obj
           [ ("append", Json.String name);
@@ -412,15 +406,12 @@ let ablation ?(max_states = 150_000) () =
   List.iter
     (fun (name, p) ->
       let tab = tab_of p in
-      let rec sys d =
-        if d > 2 then ("not found", 0)
-        else
-          let r = Delay_bounded.explore ~delay_bound:d ~max_states:500_000 tab in
-          match r.verdict with
-          | Search.Error_found _ -> (Fmt.str "found@@d=%d" d, r.stats.transitions)
-          | Search.No_error -> sys (d + 1)
+      let explore d = Delay_bounded.explore ~delay_bound:d ~max_states:500_000 tab in
+      let sys_msg, sys_blocks =
+        match first_error ~upto:2 explore with
+        | None -> ("not found", 0)
+        | Some (d, r, _) -> (Fmt.str "found@@d=%d" d, r.stats.transitions)
       in
-      let sys_msg, sys_blocks = sys 0 in
       let rw = Random_walk.run ~walks:100 ~max_blocks:500 ~seed:11 tab in
       line "%-16s %-12s %5d blocks     %d/100 walks failing, %d blocks" name sys_msg
         sys_blocks rw.errors_found rw.total_blocks;
@@ -455,13 +446,14 @@ let protocol_scaling ?(max_states = 2_000_000) () =
       let r1 = Delay_bounded.explore ~delay_bound:1 ~max_states tab in
       let tabb = tab_of (P_examples_lib.German.buggy_program ~n ()) in
       let rb = Delay_bounded.explore ~delay_bound:0 ~max_states tabb in
-      line "%-4d %11d%s %11d%s %10s %8.2f" n r0.stats.states
-        (if r0.stats.truncated then "+" else " ")
-        r1.stats.states
-        (if r1.stats.truncated then "+" else " ")
-        (match rb.verdict with
-        | Search.Error_found ce -> Fmt.str "depth %d" ce.depth
-        | Search.No_error -> "missed")
+      let bug_depth =
+        match rb.verdict with
+        | Search.Error_found ce -> Some ce.depth
+        | Search.No_error -> None
+      in
+      line "%-4d %11d%s %11d%s %10s %8.2f" n r0.stats.states (trunc_mark r0.stats)
+        r1.stats.states (trunc_mark r1.stats)
+        (match bug_depth with Some d -> Fmt.str "depth %d" d | None -> "missed")
         (r0.stats.elapsed_s +. r1.stats.elapsed_s);
       rows :=
         Json.Obj
@@ -469,176 +461,10 @@ let protocol_scaling ?(max_states = 2_000_000) () =
             ("d0", json_of_stats r0.stats);
             ("d1", json_of_stats r1.stats);
             ( "bug_depth",
-              match rb.verdict with
-              | Search.Error_found ce -> Json.Int ce.depth
-              | Search.No_error -> Json.Null ) ]
+              match bug_depth with Some d -> Json.Int d | None -> Json.Null ) ]
         :: !rows)
     [ 2; 3; 4 ];
   record "protocol_scaling" (Json.List (List.rev !rows))
-
-(* The work-stealing engine's scaling sweep (section 6: "using multicores to
-   scale the state exploration"): german and elevator at delay bounds 2-4,
-   across 1/2/4/8 domains. Each (benchmark, bound) cell asserts the
-   determinism contract — the (verdict, states, transitions) triple must be
-   byte-identical at every domain count — and reports speedup relative to
-   the single-domain run. On a single-core host the sweep still validates
-   determinism; the speedups it records are honestly ~1x or below, the
-   record is marked ["valid_parallelism": false], and under
-   [~require_multicore:true] the sweep fails outright — so CI on a 1-core
-   runner can never greenlight (or publish) a bogus scaling claim. *)
-let parallel_scaling ?(max_states = 2_000_000) ?(domain_counts = [ 1; 2; 4; 8 ])
-    ?(bounds = [ 2; 3; 4 ]) ?(require_multicore = false) () =
-  line "== Multicore scaling: work-stealing exploration across domains ==";
-  let cores = Domain.recommended_domain_count () in
-  line "   this machine reports %d core(s)%s" cores
-    (if cores <= 1 then
-       " — runs below demonstrate cross-domain determinism, not speedup"
-     else "");
-  let triple (r : Search.result) =
-    ( (match r.verdict with
-      | Search.Error_found ce -> Some ce.depth
-      | Search.No_error -> None),
-      r.stats.states,
-      r.stats.transitions )
-  in
-  let subjects =
-    [ ("german", tab_of (P_examples_lib.German.program ~n:3 ~requests:2 ()));
-      ("elevator", tab_of (P_examples_lib.Elevator.program ())) ]
-  in
-  let rows = ref [] in
-  let all_identical = ref true in
-  List.iter
-    (fun (name, tab) ->
-      List.iter
-        (fun delay_bound ->
-          line "%-10s d=%d" name delay_bound;
-          let base = ref 0.0 in
-          let base_triple = ref None in
-          let identical = ref true in
-          let runs = ref [] in
-          List.iter
-            (fun domains ->
-              let r = Parallel.explore ~domains ~delay_bound ~max_states tab in
-              if domains = 1 then begin
-                base := r.stats.elapsed_s;
-                base_triple := Some (triple r)
-              end
-              else if !base_triple <> Some (triple r) then identical := false;
-              let speedup = !base /. r.stats.elapsed_s in
-              line "  %2d domain(s): %8d states %9d transitions in %6.2fs  (speedup %.2fx)"
-                domains r.stats.states r.stats.transitions r.stats.elapsed_s
-                speedup;
-              runs :=
-                Json.Obj
-                  [ ("domains", Json.Int domains);
-                    ("speedup", Json.Float speedup);
-                    ("stats", json_of_stats r.stats) ]
-                :: !runs)
-            domain_counts;
-          if not !identical then begin
-            all_identical := false;
-            line "  !! DETERMINISM VIOLATION: triples differ across domain counts"
-          end;
-          rows :=
-            Json.Obj
-              [ ("benchmark", Json.String name);
-                ("delay_bound", Json.Int delay_bound);
-                ("triple_identical", Json.Bool !identical);
-                ("runs", Json.List (List.rev !runs)) ]
-            :: !rows)
-        bounds)
-    subjects;
-  line "(verdict, states, transitions) identical across domain counts: %b"
-    !all_identical;
-  let valid_parallelism = cores > 1 in
-  if not valid_parallelism then
-    line
-      "   !! single-core host: speedup numbers above are NOT evidence of \
-       parallel scaling";
-  record "parallel_scaling"
-    (Json.Obj
-       [ ("cores", Json.Int cores);
-         ("valid_parallelism", Json.Bool valid_parallelism);
-         ("domain_counts", Json.List (List.map (fun d -> Json.Int d) domain_counts));
-         ("triples_identical", Json.Bool !all_identical);
-         ("sweeps", Json.List (List.rev !rows)) ]);
-  if require_multicore && not valid_parallelism then begin
-    line
-      "   !! --require-multicore: refusing to report scaling results from a \
-       %d-core machine" cores;
-    false
-  end
-  else !all_identical
-
-(* ------------------------------------------------------------------ *)
-(* Digest throughput: incremental vs reference state fingerprinting    *)
-(* ------------------------------------------------------------------ *)
-
-let digest_throughput ?(max_states = 30_000) ?(rounds = 5)
-    ?(explore_max = 120_000) () =
-  line "== Digest throughput: incremental per-machine cache vs Canon.digest ==";
-  line "   (the seen-set key of every engine; incremental mode reuses cached";
-  line "    per-machine digests for machines the last block left untouched)";
-  let tab = tab_of (P_examples_lib.German.program ()) in
-  (* a corpus of reachable configurations, in discovery order: successive
-     states of one exploration share untouched machines physically, exactly
-     the workload the per-machine cache is built for *)
-  let configs = ref [] in
-  let observer =
-    { Engine.on_state = (fun _ c -> configs := c :: !configs);
-      Engine.on_edge = (fun ~src:_ ~src_config:_ ~by:_ ~resolved:_ ~dst:_ -> ()) }
-  in
-  let spec =
-    Engine.spec ~bound:1 ~max_states (Engine.stack_sched Engine.Causal)
-  in
-  ignore (Engine.run ~observer ~engine:"digest_corpus" spec tab);
-  let configs = Array.of_list (List.rev !configs) in
-  let n = Array.length configs in
-  (* a fresh context per round reproduces an exploration's mix: one miss the
-     first time a machine value is seen, hits for every untouched machine *)
-  let time_digest make =
-    let started = P_obs.Mclock.start () in
-    for _ = 1 to rounds do
-      let digest = make () in
-      Array.iter (fun c -> ignore (digest c [] : string)) configs
-    done;
-    float_of_int (n * rounds) /. P_obs.Mclock.elapsed_s started
-  in
-  let canon_rate = time_digest (fun () -> Canon.digest (Canon.create tab)) in
-  let incr_rate = time_digest (fun () -> Fingerprint.digest (Fingerprint.create tab)) in
-  line "corpus: %d german configurations x %d rounds" n rounds;
-  line "  %-22s %12.0f digests/s" "Canon.digest" canon_rate;
-  line "  %-22s %12.0f digests/s  (%.2fx)" "incremental" incr_rate
-    (incr_rate /. canon_rate);
-  line "end-to-end: parallel explore d=1, %d-state budget" explore_max;
-  line "  %-12s %8s %10s %10s %12s" "mode" "domains" "states" "time(s)" "states/s";
-  let rows = ref [] in
-  List.iter
-    (fun domains ->
-      let r =
-        Parallel.explore ~domains ~delay_bound:1 ~max_states:explore_max tab
-      in
-      line "  %-12s %8d %10d %10.2f %12.0f" "incremental" domains r.stats.states
-        r.stats.elapsed_s
-        (float_of_int r.stats.states /. r.stats.elapsed_s);
-      rows :=
-        Json.Obj
-          [ ("mode", Json.String "incremental");
-            ("domains", Json.Int domains);
-            ( "states_per_s",
-              Json.Float (float_of_int r.stats.states /. r.stats.elapsed_s) );
-            ("stats", json_of_stats r.stats) ]
-        :: !rows)
-    [ 1; 2; 4 ];
-  record "digest_throughput"
-    (Json.Obj
-       [ ("benchmark", Json.String "german");
-         ("corpus_configs", Json.Int n);
-         ("rounds", Json.Int rounds);
-         ("full_digests_per_s", Json.Float canon_rate);
-         ("incremental_digests_per_s", Json.Float incr_rate);
-         ("incremental_speedup", Json.Float (incr_rate /. canon_rate));
-         ("explore", Json.List (List.rev !rows)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the engine primitives                  *)
@@ -732,21 +558,23 @@ let micro () =
    state count next to the unreduced baseline. The soundness contract —
    the reduced search reports an error iff the unreduced one does — is
    asserted here, not just measured; a verdict-kind mismatch fails the
-   bench. State counts are deterministic, so they (and the ratios) are
-   emitted as exact integers and gate in [compare]. *)
-let reduce_bench ?(smoke = false) () : bool =
+   bench, and so does a flagship subject (the fifth component) on which
+   reduction does not strictly win. State counts are deterministic, so
+   they (and the ratios) are emitted as exact values and gate in
+   [compare]. *)
+let reduce_bench ?(smoke = false) () =
   line "== State-space reduction: sleep-set POR ==";
   let subjects =
     let usb_cap = if smoke then 12 else 20 in
-    [ ("token-ring", tab_of (P_examples_lib.Token_ring.program ()), 2, None);
-      ("elevator", tab_of (P_examples_lib.Elevator.program ()), 2, None) ]
+    [ ("token-ring", tab_of (P_examples_lib.Token_ring.program ()), 2, None, true);
+      ("elevator", tab_of (P_examples_lib.Elevator.program ()), 2, None, true) ]
     @ (if smoke then []
        else
-         [ ("elevator[d=3]", tab_of (P_examples_lib.Elevator.program ()), 3, None);
+         [ ("elevator[d=3]", tab_of (P_examples_lib.Elevator.program ()), 3, None, false);
            ( "german[n=3,r=2]",
              tab_of (P_examples_lib.German.program ~n:3 ~requests:2 ()),
-             2, None ) ])
-    @ [ ("usb-stack", tab_of (P_usb.Stack.program ()), 2, Some usb_cap) ]
+             2, None, true ) ])
+    @ [ ("usb-stack", tab_of (P_usb.Stack.program ()), 2, Some usb_cap, true) ]
   in
   let verdict_kind (r : Search.result) =
     match r.verdict with
@@ -756,9 +584,8 @@ let reduce_bench ?(smoke = false) () : bool =
   line "%-16s %-9s %10s %10s %8s %9s" "workload" "reduce" "states" "pruned"
     "ratio" "time(s)";
   let rows = ref [] in
-  let ok = ref true in
   List.iter
-    (fun (name, tab, delay_bound, max_depth) ->
+    (fun (name, tab, delay_bound, max_depth, flagship) ->
       let explore reduce =
         match max_depth with
         | None ->
@@ -771,16 +598,17 @@ let reduce_bench ?(smoke = false) () : bool =
       List.iter
         (fun reduce ->
           let r = if Reduce.is_none reduce then none else explore reduce in
-          if verdict_kind r <> verdict_kind none then begin
-            line "FAIL: %s under %a: verdict %s, unreduced says %s" name
-              Reduce.pp reduce (verdict_kind r) (verdict_kind none);
-            ok := false
-          end;
-          if r.stats.states > none.stats.states then begin
-            line "FAIL: %s under %a explored more states than unreduced" name
+          if verdict_kind r <> verdict_kind none then
+            fail "%s under %a: verdict %s, unreduced says %s" name Reduce.pp
+              reduce (verdict_kind r) (verdict_kind none);
+          if r.stats.states > none.stats.states then
+            fail "%s under %a explored more states than unreduced" name
               Reduce.pp reduce;
-            ok := false
-          end;
+          if flagship && (not (Reduce.is_none reduce))
+             && r.stats.states >= none.stats.states
+          then
+            fail "%s: %a reduction explored %d states vs %d unreduced" name
+              Reduce.pp reduce r.stats.states none.stats.states;
           let ratio =
             float_of_int r.stats.states /. float_of_int none.stats.states
           in
@@ -804,36 +632,7 @@ let reduce_bench ?(smoke = false) () : bool =
         Reduce.all;
       hr ())
     subjects;
-  (* the workloads here are exactly the ones where reduction is claimed
-     to help; no strict win on a flagship subject is a regression *)
-  let states_of name mode =
-    List.find_map
-      (fun row ->
-        match row with
-        | Json.Obj fields
-          when List.assoc_opt "name" fields
-               = Some (Json.String (name ^ ":" ^ mode)) ->
-          (match List.assoc_opt "states" fields with
-          | Some (Json.Int n) -> Some n
-          | _ -> None)
-        | _ -> None)
-      !rows
-  in
-  List.iter
-    (fun name ->
-      match (states_of name "none", states_of name "por") with
-      | Some n, Some f when f < n -> ()
-      | Some n, Some f ->
-        line "FAIL: %s: por reduction explored %d states vs %d unreduced" name
-          f n;
-        ok := false
-      | _ ->
-        line "FAIL: %s: missing rows" name;
-        ok := false)
-    (if smoke then [ "token-ring"; "elevator"; "usb-stack" ]
-     else [ "token-ring"; "elevator"; "german[n=3,r=2]"; "usb-stack" ]);
-  record "reduce" (Json.List (List.rev !rows));
-  !ok
+  record "reduce" (Json.List (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
 (* bench faults: the adversarial host over the protocol families       *)
@@ -841,9 +640,8 @@ let reduce_bench ?(smoke = false) () : bool =
 
 (* Per (family x fault class): a fault-injected exploration of the two
    distributed-protocol workload families, recording verdict, exact state
-   and transition counts, fired-fault counts, and states/s — exact
-   metrics pin the determinism contract in [compare], the derived
-   states_per_s gates throughput. A second leg runs each family under
+   and transition counts and fired-fault counts — exact metrics that pin
+   the determinism contract in [compare]. A second leg runs each family under
    the serving runtime's adversarial host and records the per-class
    injection and crash-restart counters (single-domain and seeded, so
    they are exact too). Hard contracts: fault-free both families are
@@ -860,7 +658,7 @@ let fault_classes =
     ("crash", { none with crash = 100 });
     ("mixed", { none with drop = 100; dup = 150; reorder = 100; crash = 50 }) ]
 
-let faults_bench ?(smoke = false) () : bool =
+let faults_bench ?(smoke = false) () =
   line "== Fault injection: adversarial host over the protocol families ==";
   line "   (verdict flips are the experiment: dup past ⊕ trips the counted";
   line "    assertions; drop/reorder/crash stall safely)";
@@ -877,7 +675,6 @@ let faults_bench ?(smoke = false) () : bool =
         "Net" ) ]
   in
   let rows = ref [] in
-  let ok = ref true in
   line "%-16s %-9s %-10s %9s %12s %8s %12s" "family" "class" "verdict" "states"
     "transitions" "faults" "states/s";
   List.iter
@@ -899,10 +696,8 @@ let faults_bench ?(smoke = false) () : bool =
               incr refuted;
               "refuted"
           in
-          if P_semantics.Fault.is_none plan && verdict <> "clean" then begin
-            line "FAIL: %s must be clean without injection" fname;
-            ok := false
-          end;
+          if P_semantics.Fault.is_none plan && verdict <> "clean" then
+            fail "%s must be clean without injection" fname;
           let per_s =
             if r.stats.elapsed_s > 0.0 then
               float_of_int r.stats.states /. r.stats.elapsed_s
@@ -923,10 +718,7 @@ let faults_bench ?(smoke = false) () : bool =
                 ("elapsed_s", Json.Float r.stats.elapsed_s) ]
             :: !rows)
         fault_classes;
-      if !refuted = 0 then begin
-        line "FAIL: no fault class changed %s's verdict" fname;
-        ok := false
-      end;
+      if !refuted = 0 then fail "no fault class changed %s's verdict" fname;
       (* serving-runtime leg: the same family under the scheduler's
          adversarial host (delay is checker-only, so the mixed plan here
          carries the other four classes) *)
@@ -980,57 +772,19 @@ let faults_bench ?(smoke = false) () : bool =
             ("elapsed_s", Json.Float host_elapsed) ]
         :: !rows)
     families;
-  record "faults" (Json.List (List.rev !rows));
-  !ok
+  record "faults" (Json.List (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
-(* bench compare: regression gate between two p-bench/1 documents      *)
+(* bench compare: exact regression gate between two p-bench/1 documents *)
 (* ------------------------------------------------------------------ *)
 
-(* How a metric may legitimately move between two runs. Exact metrics are
-   the determinism contract (state/transition counts, verdicts, bug
-   depths): any difference at all is a regression, on any machine. The
-   other two are performance metrics and only gate within a relative
-   tolerance — and only when both documents came from comparable
-   machines, which is what [--exact-only] is for when they did not. *)
-type direction = Exact | Lower_better | Higher_better
-
-type mval = Num of float | Word of string
-
-let mval_str = function
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  | Word s -> s
-
-let ends_with suffix s = String.ends_with ~suffix s
-
-(* Classify a leaf by its key name, falling back on its runtime type.
-   [None] means context or identity, not a result (core counts, sweep
-   parameters, machine-dependent validity flags): never gated. *)
-let classify key (v : Json.t) : direction option =
-  if ends_with "per_s" key || key = "speedup" then Some Higher_better
-  else if
-    ends_with "elapsed_s" key || ends_with "_ns" key || key = "ns_per_run"
-    || ends_with "_mb" key || key = "bytes_per_state"
-    || ends_with "_us" key
-  then Some Lower_better
-  else
-    match (key, v) with
-    | ("valid_parallelism" | "cores" | "delay_bound" | "domains"
-      | "clients" | "events" | "rounds" | "shards" | "machines"
-      | "rate_hz"), _ -> None
-    | _, (Json.Bool _ | Json.Null | Json.String _ | Json.Int _) -> Some Exact
-    | _, (Json.Float _ | Json.Obj _ | Json.List _) -> None
-
-let mval_of (v : Json.t) : mval =
-  match v with
-  | Json.Int i -> Num (float_of_int i)
-  | Json.Float f -> Num f
-  | Json.Bool b -> Word (string_of_bool b)
-  | Json.String s -> Word s
-  | Json.Null -> Word "null"
-  | Json.Obj _ | Json.List _ -> Word "<composite>"
+(* Every integer, boolean, string and null leaf under "results" is an
+   exact metric — a state or transition count, a verdict, a bug depth —
+   and any difference at all is a regression, on any machine. Float
+   leaves are wall-clock or memory measurements and are never gated:
+   perfbench times the system, with repeated runs and their spread. Keys
+   that name a run's parameters rather than its result are skipped. *)
+let parameter_keys = [ "delay_bound"; "clients"; "events" ]
 
 (* A human-stable path segment for a list element: prefer its identity
    fields over its position, so two documents whose sweeps enumerate the
@@ -1045,12 +799,12 @@ let label_of_item fields =
   let base =
     List.find_map find
       [ "benchmark"; "machine"; "driver"; "name"; "scheduler"; "search";
-        "append"; "mode"; "store" ]
+        "append"; "store" ]
   in
   let discs =
     List.filter_map
       (fun k -> Option.map (fun v -> k ^ "=" ^ v) (find k))
-      [ "delay_bound"; "domains"; "clients" ]
+      [ "delay_bound"; "clients" ]
   in
   match (base, discs) with
   | None, [] -> None
@@ -1061,22 +815,6 @@ let label_of_item fields =
 let rec flatten path key (j : Json.t) acc =
   match j with
   | Json.Obj fields ->
-    let acc =
-      (* derived throughput: any stats-like block carrying both a state
-         count and a wall time gets a states_per_s metric, so a slowdown
-         is gated in the unit the default threshold is stated in *)
-      match
-        ( List.assoc_opt "states" fields,
-          List.assoc_opt "elapsed_s" fields )
-      with
-      | Some (Json.Int states), Some elapsed when states > 0 -> (
-        match Json.to_float elapsed with
-        | Some el when el > 0.0 ->
-          (path ^ "/states_per_s", Higher_better, Num (float_of_int states /. el))
-          :: acc
-        | _ -> acc)
-      | _ -> acc
-    in
     List.fold_left (fun acc (k, v) -> flatten (path ^ "/" ^ k) k v acc) acc fields
   | Json.List items ->
     let _, acc =
@@ -1094,129 +832,48 @@ let rec flatten path key (j : Json.t) acc =
         (0, acc) items
     in
     acc
-  | leaf -> (
-    (* the work-stealing subtree is special: its runs are truncated by the
-       smoke budget, and truncated parallel counts (states, transitions,
-       max_depth) are scheduling-dependent — the determinism contract only
-       pins them for non-truncated runs. Its booleans (triple_identical,
-       truncated) stay exact; everything else there is perf-only. *)
-    let dir =
-      if String.starts_with ~prefix:"/parallel_scaling" path then
-        match leaf with
-        | Json.Bool _ -> classify key leaf
-        | _ -> ( match classify key leaf with Some Exact -> None | d -> d)
-      else classify key leaf
-    in
-    match dir with
-    | None -> acc
-    | Some dir -> (path, dir, mval_of leaf) :: acc)
+  | Json.Float _ -> acc
+  | _ when List.mem key parameter_keys -> acc
+  | leaf -> (path, leaf) :: acc
 
-(* Per-metric relative tolerance: derived throughput gates at the base
-   threshold (default 20%, [--threshold PCT]); raw wall-time and
-   allocation numbers are noisier in shared CI containers and get 1.5x
-   headroom; tail-latency percentiles (µs keys) are the noisiest class of
-   all — scheduling jitter lands directly in p99 — and get 2x. Exact
-   metrics have no tolerance at all. *)
-let tolerance ~base key =
-  if ends_with "per_s" key || key = "speedup" then base
-  else if ends_with "_us" key then base *. 2.0
-  else base *. 1.5
-
-let last_segment path =
-  match String.rindex_opt path '/' with
-  | None -> path
-  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-
-let compare_docs ~threshold ~exact_only old_path new_path =
-  let load p =
+let compare_docs old_path new_path =
+  let fail msg =
+    prerr_endline ("bench compare: " ^ msg);
+    exit 2
+  in
+  let metrics p =
     match Json.of_string (In_channel.with_open_bin p In_channel.input_all) with
-    | j -> j
-    | exception Json.Parse_error msg ->
-      prerr_endline ("bench compare: " ^ p ^ ": " ^ msg);
-      exit 2
-    | exception Sys_error msg ->
-      prerr_endline ("bench compare: " ^ msg);
-      exit 2
+    | exception Json.Parse_error msg -> fail (p ^ ": " ^ msg)
+    | exception Sys_error msg -> fail msg
+    | doc -> (
+      match Json.member "results" doc with
+      | Some r -> List.rev (flatten "" "results" r [])
+      | None -> fail (p ^ ": no \"results\" object"))
   in
-  let old_doc = load old_path and new_doc = load new_path in
-  (* Machine context: relative performance comparisons across different
-     machines are meaningless; warn loudly but keep gating the exact
-     (machine-independent) metrics either way. *)
-  let machine_field doc k =
-    match Json.path doc [ "machine"; k ] with
-    | Some (Json.String s) -> s
-    | Some (Json.Int n) -> string_of_int n
-    | _ -> "?"
-  in
-  List.iter
-    (fun k ->
-      let o = machine_field old_doc k and n = machine_field new_doc k in
-      if o <> n then
-        line
-          "warning: machine context differs (%s: %s -> %s)%s" k o n
-          (if exact_only then ""
-           else " — performance deltas below are not comparable"))
-    [ "cores"; "ocaml_version"; "word_size"; "os_type" ];
-  let orev = machine_field old_doc "git_rev"
-  and nrev = machine_field new_doc "git_rev" in
-  if orev <> nrev then line "comparing git revs %s -> %s" orev nrev;
-  let metrics doc p =
-    match Json.member "results" doc with
-    | Some r -> flatten "" "results" r []
-    | None ->
-      prerr_endline ("bench compare: " ^ p ^ ": no \"results\" object");
-      exit 2
-  in
-  let old_m = metrics old_doc old_path and new_m = metrics new_doc new_path in
-  let new_tbl = Hashtbl.create 256 and old_tbl = Hashtbl.create 256 in
-  List.iter (fun (p, _, v) -> Hashtbl.replace new_tbl p v) new_m;
-  List.iter (fun (p, _, _) -> Hashtbl.replace old_tbl p ()) old_m;
-  let compared = ref 0 and regressions = ref 0 and improved = ref 0 in
+  let old_m = metrics old_path and new_m = metrics new_path in
+  let new_tbl = Hashtbl.of_seq (List.to_seq new_m) in
+  let compared = ref 0 and regressions = ref 0 in
   let regression fmt =
     incr regressions;
     line ("REGRESSION " ^^ fmt)
   in
   List.iter
-    (fun (path, dir, ov) ->
-      if (not exact_only) || dir = Exact then
-        match Hashtbl.find_opt new_tbl path with
-        | None ->
-          (* baseline coverage lost: a benchmark that stopped being run
-             can hide any regression, so it is one *)
-          regression "%-56s present in baseline, missing in new run" path
-        | Some nv -> (
-          incr compared;
-          let tol = tolerance ~base:threshold (last_segment path) in
-          match (dir, ov, nv) with
-          | Exact, _, _ ->
-            if ov <> nv then
-              regression "%-56s exact: %s -> %s" path (mval_str ov)
-                (mval_str nv)
-          | Lower_better, Num o, Num n ->
-            if o > 0.0 && n > o *. (1.0 +. tol) then
-              regression "%-56s %s -> %s (+%.0f%%, tolerance %.0f%%)" path
-                (mval_str ov) (mval_str nv)
-                ((n /. o -. 1.0) *. 100.0)
-                (tol *. 100.0)
-            else if o > 0.0 && n < o *. (1.0 -. tol) then incr improved
-          | Higher_better, Num o, Num n ->
-            if o > 0.0 && n < o *. (1.0 -. tol) then
-              regression "%-56s %s -> %s (-%.0f%%, tolerance %.0f%%)" path
-                (mval_str ov) (mval_str nv)
-                ((1.0 -. n /. o) *. 100.0)
-                (tol *. 100.0)
-            else if o > 0.0 && n > o *. (1.0 +. tol) then incr improved
-          | _, _, _ -> ()))
+    (fun (path, ov) ->
+      match Hashtbl.find_opt new_tbl path with
+      | None ->
+        (* baseline coverage lost: a benchmark that stopped being run
+           can hide any regression, so it is one *)
+        regression "%-56s present in baseline, missing in new run" path
+      | Some nv ->
+        incr compared;
+        if nv <> ov then
+          regression "%-56s %s -> %s" path (Json.to_string ov) (Json.to_string nv))
     old_m;
   let new_only =
-    List.length (List.filter (fun (p, _, _) -> not (Hashtbl.mem old_tbl p)) new_m)
+    List.length (List.filter (fun (p, _) -> not (List.mem_assoc p old_m)) new_m)
   in
-  line "compared %d metric(s)%s: %d regression(s), %d improvement(s)%s"
-    !compared
-    (if exact_only then " (exact only)" else "")
-    !regressions !improved
-    (if new_only > 0 then Printf.sprintf ", %d new-only metric(s)" new_only
-     else "");
+  line "compared %d exact metric(s): %d regression(s)%s" !compared !regressions
+    (if new_only > 0 then Printf.sprintf ", %d new-only metric(s)" new_only else "");
   !regressions = 0
 
 (* ------------------------------------------------------------------ *)
@@ -1236,45 +893,40 @@ let all () =
   hr ();
   protocol_scaling ();
   hr ();
-  ignore (parallel_scaling () : bool);
-  hr ();
-  ignore (faults_bench () : bool);
-  hr ();
-  digest_throughput ();
+  faults_bench ();
   hr ();
   micro ()
 
-(* Pull [--json FILE] out of argv (any position after the subcommand),
-   returning the remaining arguments. *)
-let extract_json_path args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
-  in
-  go [] args
+(* A seconds-scale pass over every recorded table at tiny budgets; its
+   document is what bench/fixtures/smoke-baseline.json pins. *)
+let smoke () =
+  fig7 ~max_states:2_000 ~bounds:[ 0; 1 ] ();
+  hr ();
+  fig8 ~max_states:2_000 ();
+  hr ();
+  fig8_stores ~max_states:5_000 ();
+  hr ();
+  overhead ~events:50 ();
+  hr ();
+  reduce_bench ~smoke:true ();
+  hr ();
+  faults_bench ~smoke:true ()
 
-(* Pull a bare [--flag] out of argv, returning whether it was present. *)
-let extract_flag name args =
-  let rec go acc = function
-    | [] -> (false, List.rev acc)
-    | a :: rest when String.equal a name -> (true, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
+(* Pull [--json FILE] and [--smoke] out of argv (any position after the
+   subcommand), returning the remaining arguments. *)
+let parse_flags args =
+  let rec go json smoke acc = function
+    | [] -> (json, smoke, List.rev acc)
+    | "--json" :: path :: rest -> go (Some path) smoke acc rest
+    | "--smoke" :: rest -> go json true acc rest
+    | a :: rest -> go json smoke (a :: acc) rest
   in
-  go [] args
-
-(* Pull [--opt VALUE] out of argv. *)
-let extract_value name args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | a :: v :: rest when String.equal a name -> (Some v, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
-  in
-  go [] args
+  go None false [] args
 
 let () =
-  let json_path, args = extract_json_path (List.tl (Array.to_list Sys.argv)) in
-  let require_multicore, args = extract_flag "--require-multicore" args in
+  let json_path, smoke_budgets, args =
+    parse_flags (List.tl (Array.to_list Sys.argv))
+  in
   (* Fail on an unwritable --json path now, not after the benchmarks ran. *)
   (match json_path with
   | None -> ()
@@ -1284,98 +936,37 @@ let () =
       prerr_endline ("bench: cannot write " ^ msg);
       exit 2));
   (match args with
-  | "fig7" :: _ -> fig7 ()
-  | "bugs" :: _ -> bugs ()
-  | "fig8" :: rest ->
-    let smoke, rest = extract_flag "--smoke" rest in
-    let store_s, _rest = extract_value "--store" rest in
-    let stores =
-      match store_s with
-      | None -> store_kinds
-      | Some s -> (
-        match State_store.kind_of_string s with
-        | Ok k -> [ k ]
-        | Error e ->
-          prerr_endline ("bench fig8: " ^ e);
-          exit 2)
-    in
-    if smoke then begin
+  | [ "fig7" ] -> fig7 ()
+  | [ "bugs" ] -> bugs ()
+  | [ "fig8" ] ->
+    if smoke_budgets then begin
       fig8 ~max_states:2_000 ();
       hr ();
-      fig8_stores ~max_states:20_000 ~stores ()
+      fig8_stores ~max_states:20_000 ()
     end
     else begin
       fig8 ();
       hr ();
-      fig8_stores ~stores ()
+      fig8_stores ()
     end
-  | "overhead" :: _ -> overhead ()
-  | "ablation" :: _ -> ablation ()
-  | "parallel" :: _ | "scaling" :: _ ->
-    if not (parallel_scaling ~require_multicore ()) then exit 1
-  | "compare" :: rest -> (
-    let exact_only, rest = extract_flag "--exact-only" rest in
-    let threshold_s, rest = extract_value "--threshold" rest in
-    let threshold =
-      match threshold_s with
-      | None -> 0.20
-      | Some s -> (
-        match float_of_string_opt s with
-        | Some pct when pct >= 0.0 -> pct /. 100.0
-        | _ ->
-          prerr_endline ("bench compare: bad --threshold " ^ s);
-          exit 2)
-    in
-    match rest with
-    | [ old_path; new_path ] ->
-      if not (compare_docs ~threshold ~exact_only old_path new_path) then
-        exit 1
-    | _ ->
-      prerr_endline
-        "usage: bench compare OLD.json NEW.json [--threshold PCT] \
-         [--exact-only]";
-      exit 2)
-  | "reduce" :: rest ->
-    let smoke, _rest = extract_flag "--smoke" rest in
-    if not (reduce_bench ~smoke ()) then exit 1
-  | "faults" :: rest ->
-    let smoke, _rest = extract_flag "--smoke" rest in
-    if not (faults_bench ~smoke ()) then exit 1
-  | "protocol-scaling" :: _ -> protocol_scaling ()
-  | "digest-throughput" :: _ | "digest" :: _ -> digest_throughput ()
-  | "micro" :: _ -> micro ()
-  | "quick" :: _ ->
-    (* a fast smoke pass *)
-    fig7 ~max_states:20_000 ~bounds:[ 0; 1; 2 ] ();
-    hr ();
-    fig8 ~max_states:20_000 ();
-    hr ();
-    overhead ~events:200 ()
-  | "smoke" :: _ ->
-    (* tiny budgets: exercises every recorded code path in seconds, for the
-       @bench-smoke alias wired into dune runtest *)
-    fig7 ~max_states:2_000 ~bounds:[ 0; 1 ] ();
-    hr ();
-    fig8 ~max_states:2_000 ();
-    hr ();
-    fig8_stores ~max_states:5_000 ();
-    hr ();
-    overhead ~events:50 ();
-    hr ();
-    (* determinism across domain counts is a hard contract: fail the smoke
-       run (and with it CI) if the triples ever diverge *)
-    if
-      not (parallel_scaling ~max_states:20_000 ~domain_counts:[ 1; 2 ] ~bounds:[ 2 ] ())
-    then exit 1;
-    hr ();
-    (* reduction soundness (same verdicts) and the strict-win contract are
-       hard failures; the reduced state counts land in the document as
-       exact metrics, so [compare] pins them across runs *)
-    if not (reduce_bench ~smoke:true ()) then exit 1;
-    hr ();
-    (* the adversarial-host contract: fault-free the protocol families are
-       clean, at least one fault class refutes each, and the per-class
-       counts land as exact metrics the gate pins *)
-    if not (faults_bench ~smoke:true ()) then exit 1
-  | [] | _ -> all ());
-  match json_path with None -> () | Some path -> write_results path
+  | [ "overhead" ] -> overhead ()
+  | [ "ablation" ] -> ablation ()
+  | [ "compare"; old_path; new_path ] ->
+    if not (compare_docs old_path new_path) then exit 1
+  | "compare" :: _ ->
+    prerr_endline "usage: bench compare OLD.json NEW.json";
+    exit 2
+  | [ "reduce" ] -> reduce_bench ~smoke:smoke_budgets ()
+  | [ "faults" ] -> faults_bench ~smoke:smoke_budgets ()
+  | [ "protocol-scaling" ] -> protocol_scaling ()
+  | [ "micro" ] -> micro ()
+  | [ "smoke" ] -> smoke ()
+  | [] -> all ()
+  | _ ->
+    prerr_endline
+      ("usage: bench [fig7|bugs|fig8|overhead|ablation|reduce|faults|\
+        protocol-scaling|micro|smoke] [--smoke] [--json FILE]\n\
+       \       bench compare OLD.json NEW.json");
+    exit 2);
+  Option.iter write_results json_path;
+  if !failed then exit 1

@@ -292,7 +292,10 @@ let run_verify file example delay_bound max_states liveness show_trace domains
           path path path
       | Error e -> Fmt.epr "pc: could not record the counterexample: %s@." e))
   | _ -> ());
-  if not (P_checker.Verifier.is_clean report) then exit 1
+  match P_checker.Verifier.outcome report with
+  | Clean -> ()
+  | Failed -> exit 1
+  | Inconclusive -> exit 3
 
 let verify_cmd =
   let delay =
@@ -421,7 +424,18 @@ let verify_cmd =
       & info [ "no-ce" ] ~doc:"Do not write a counterexample trace artifact on failure.")
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Systematic testing with the causal delay-bounded scheduler.")
+    (Cmd.info "verify"
+       ~doc:"Systematic testing with the causal delay-bounded scheduler."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "a check failed: a static error, a counterexample or a \
+               liveness violation."
+         :: Cmd.Exit.info 3
+              ~doc:
+                "inconclusive: no error was found, but the state budget ran \
+                 out before the search finished (raise $(b,--max-states))."
+         :: Cmd.Exit.defaults))
     Term.(
       const run_verify $ file_arg $ example_arg $ delay $ max_states $ liveness $ trace
       $ domains $ fingerprint $ store $ store_capacity $ reduce $ stats_json

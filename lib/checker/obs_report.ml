@@ -17,9 +17,8 @@ let json_of_stats (s : Search.stats) : Json.t =
     match s.store with
     | None -> []
     | Some st ->
-      (* kind, capacity, occupancy, and measured bytes/state: what the
-         bench compare gate needs to hold the memory footprint, not just
-         the wall clock *)
+      (* kind, capacity, occupancy, and measured bytes/state: the memory
+         footprint of the seen set, next to the wall clock *)
       [ ("store", State_store.json_of_summary st);
         ( "store_bytes_per_state",
           Json.Float

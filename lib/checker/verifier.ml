@@ -20,13 +20,18 @@ type report = {
           ?faults]); [None] for a well-behaved host *)
 }
 
-let is_clean r =
-  r.static_diagnostics = []
-  && (match r.safety with Some { verdict = Search.No_error; _ } -> true | Some _ -> false | None -> false)
-  && match r.liveness with
-     | None -> true
-     | Some { violations = []; _ } -> true
-     | Some _ -> false
+type outcome = Clean | Failed | Inconclusive
+
+let outcome r =
+  let live_ok =
+    match r.liveness with None | Some { violations = []; _ } -> true | Some _ -> false
+  in
+  match r.safety with
+  | Some { verdict = Search.No_error; stats } when r.static_diagnostics = [] && live_ok ->
+    if stats.truncated then Inconclusive else Clean
+  | _ -> Failed
+
+let is_clean r = outcome r = Clean
 
 let pp_report ppf r =
   (match r.static_diagnostics with
@@ -36,6 +41,9 @@ let pp_report ppf r =
     List.iter (fun d -> Fmt.pf ppf "  %a@." Symtab.pp_diagnostic d) ds);
   (match r.safety with
   | None -> ()
+  | Some res when outcome r = Inconclusive ->
+    Fmt.pf ppf "safety: inconclusive (state budget exhausted) (%a)@."
+      Search.pp_stats res.stats
   | Some res -> Fmt.pf ppf "safety: %a@." Search.pp_result res);
   (match r.seed with
   | Some s -> Fmt.pf ppf "seed: %d (sampled ghost choices; rerun with --seed %d)@." s s

@@ -18,8 +18,20 @@ type report = {
           ?faults]); [None] for a well-behaved host *)
 }
 
+type outcome =
+  | Clean  (** nothing failed, and the safety search ran to completion *)
+  | Failed
+      (** a static diagnostic, a safety counterexample or a liveness
+          violation *)
+  | Inconclusive
+      (** nothing failed, but the safety search was truncated: its state
+          budget ran out before the bounded space was exhausted, so the
+          unexplored part may hold an error *)
+
+val outcome : report -> outcome
+
 val is_clean : report -> bool
-(** No static diagnostics, no safety error, no liveness violation. *)
+(** [outcome r = Clean]. *)
 
 val pp_report : report Fmt.t
 

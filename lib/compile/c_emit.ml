@@ -177,11 +177,12 @@ let bitmap_initializer bools =
   ^ String.concat ", " (Array.to_list (Array.map (Printf.sprintf "0x%08x") packed))
   ^ " }"
 
-let transition_initializer table to_name =
+(* [empty] fills the slots of events with no entry: [P_NO_TARGET] in the
+   state-index tables, [NULL] in the function-pointer table *)
+let transition_initializer ?(empty = "P_NO_TARGET") table to_name =
   "{ "
   ^ String.concat ", "
-      (Array.to_list
-         (Array.map (function None -> "P_NO_TARGET" | Some i -> to_name i) table))
+      (Array.to_list (Array.map (function None -> empty | Some i -> to_name i) table))
   ^ " }"
 
 let emit_tables buf d =
@@ -203,7 +204,7 @@ let emit_tables buf d =
                (transition_initializer st.st_calls (state_enum mt)));
           buf_add buf
             (Printf.sprintf "  .actions = %s,\n"
-               (transition_initializer st.st_actions (fun i ->
+               (transition_initializer ~empty:"NULL" st.st_actions (fun i ->
                     fun_name "ACTION" mt (fst mt.mt_actions.(i)))));
           buf_add buf (Printf.sprintf "  .entry = %s,\n" (fun_name "ENTRY" mt st.st_name));
           buf_add buf (Printf.sprintf "  .exit = %s,\n" (fun_name "EXIT" mt st.st_name));

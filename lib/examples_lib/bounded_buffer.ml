@@ -4,21 +4,23 @@
 
     Two P-specific aspects are on display:
     - the deduplicating queue append [⊕] would silently *drop* a second
-      in-flight [Item] with an identical payload, so the producer tags each
-      item with a strictly increasing sequence number — exactly the
-      counter-in-the-payload idiom the paper prescribes for this situation
-      (section 3.1);
+      in-flight message with an identical payload, so the producer tags
+      each item with a strictly increasing sequence number, and the
+      consumer returns each credit tagged with the number of the item it
+      consumed — exactly the counter-in-the-payload idiom the paper
+      prescribes for this situation (section 3.1);
     - the consumer *defers* [Item] while it is busy digesting, exercising
       deferral under back-pressure.
 
-    The consumer asserts that sequence numbers arrive in order and that the
-    number of in-flight items never exceeds the credit bound. *)
+    The consumer asserts that items arrive in order, and the producer that
+    credits do: each credit's number is one more than the last one
+    returned, so a credit lost to [⊕] (or duplicated) fails an assertion. *)
 
 open P_syntax.Builder
 
 let events =
   [ event "Item" ~payload:P_syntax.Ptype.Int;
-    event "Credit";
+    event "Credit" ~payload:P_syntax.Ptype.Int;
     event "Start" ~payload:P_syntax.Ptype.Machine_id;
     event "unit";
     event "digest" ]
@@ -28,14 +30,16 @@ let producer ~items ~credits =
     ~vars:
       [ var_decl "consumer" P_syntax.Ptype.Machine_id;
         var_decl "credits" P_syntax.Ptype.Int;
-        var_decl "seq" P_syntax.Ptype.Int ]
+        var_decl "seq" P_syntax.Ptype.Int;
+        var_decl "returned" P_syntax.Ptype.Int ]
     [ state "Init"
         ~entry:
           (seq
-             [ new_ "consumer" "Consumer" [ ("bound", int credits) ];
+             [ new_ "consumer" "Consumer" [];
                send (v "consumer") "Start" ~payload:this;
                assign "credits" (int credits);
                assign "seq" (int 0);
+               assign "returned" (int 0);
                raise_ "unit" ]);
       state "Produce"
         ~entry:
@@ -48,7 +52,12 @@ let producer ~items ~credits =
                   raise_ "unit" ])
              skip);
       state "GotCredit"
-        ~entry:(seq [ assign "credits" (v "credits" + int 1); raise_ "unit" ]) ]
+        ~entry:
+          (seq
+             [ assert_ (arg == v "returned" + int 1);
+               assign "returned" arg;
+               assign "credits" (v "credits" + int 1);
+               raise_ "unit" ]) ]
     ~steps:
       [ ("Init", "unit", "Produce");
         ("Produce", "unit", "Produce");
@@ -59,7 +68,6 @@ let consumer =
   machine "Consumer"
     ~vars:
       [ var_decl "producer" P_syntax.Ptype.Machine_id;
-        var_decl "bound" P_syntax.Ptype.Int;
         var_decl "expected" P_syntax.Ptype.Int ]
     [ state "Boot" ~entry:skip;
       state "Ready" ~entry:skip;
@@ -69,7 +77,7 @@ let consumer =
           (seq
              [ assign "expected" (v "expected" + int 1);
                assert_ (arg == v "expected");
-               send (v "producer") "Credit";
+               send (v "producer") "Credit" ~payload:(v "expected");
                raise_ "digest" ]) ]
     ~steps:
       [ ("Boot", "Start", "Setup");

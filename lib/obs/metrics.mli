@@ -61,9 +61,9 @@ val shard_count : counter -> int
 
 val counter_per_domain : counter -> int list
 (** One entry per writing domain, in first-write order: the un-merged
-    shard values whose sum is {!counter_value}. Lets the scaling bench and tests
-    see how work (steals, expansions) distributed across the parallel
-    engine's workers. Exact once the writing domains have joined. *)
+    shard values whose sum is {!counter_value}. Lets tests see how work
+    (steals, expansions) distributed across the parallel engine's
+    workers. Exact once the writing domains have joined. *)
 
 type summary =
   | Counter_v of int

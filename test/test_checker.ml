@@ -230,6 +230,36 @@ let test_verifier_report () =
   let report = Verifier.verify ~delay_bound:1 (P_examples_lib.Pingpong.buggy_program ()) in
   check bool_t "buggy rejected" false (Verifier.is_clean report)
 
+(* A search cut short by its state budget found no error but did not show
+   there is none: the report says so and is not clean. *)
+let test_verifier_outcome () =
+  let outcome_t =
+    Alcotest.testable
+      (fun ppf o ->
+        Fmt.string ppf
+          (match o with
+          | Verifier.Clean -> "Clean"
+          | Verifier.Failed -> "Failed"
+          | Verifier.Inconclusive -> "Inconclusive"))
+      ( = )
+  in
+  let elevator = P_examples_lib.Elevator.program () in
+  let full = Verifier.verify ~delay_bound:1 elevator in
+  check outcome_t "exhausted bound" Verifier.Clean (Verifier.outcome full);
+  let cut = Verifier.verify ~delay_bound:1 ~max_states:50 elevator in
+  check outcome_t "truncated" Verifier.Inconclusive (Verifier.outcome cut);
+  check bool_t "truncated is not clean" false (Verifier.is_clean cut);
+  let text = Fmt.str "%a" Verifier.pp_report cut in
+  check bool_t "reported inconclusive" true
+    (Astring_contains.contains text "safety: inconclusive (state budget exhausted)");
+  check bool_t "never 'no error found'" false (Astring_contains.contains text "no error found");
+  (* an error found within the budget is a failure, truncated or not *)
+  let buggy =
+    Verifier.verify ~delay_bound:1 ~max_states:50
+      (P_examples_lib.Pingpong.buggy_program ())
+  in
+  check outcome_t "error" Verifier.Failed (Verifier.outcome buggy)
+
 let test_verifier_static_rejection () =
   let p =
     P_parser.Parser.program_of_string
@@ -261,4 +291,5 @@ let suite =
     Alcotest.test_case "ghost divergence ok" `Quick test_liveness_ignores_ghost_divergence;
     Alcotest.test_case "liveness elevator" `Slow test_liveness_elevator_clean;
     Alcotest.test_case "verifier report" `Quick test_verifier_report;
+    Alcotest.test_case "verifier truncated is inconclusive" `Quick test_verifier_outcome;
     Alcotest.test_case "verifier static" `Quick test_verifier_static_rejection ]

@@ -117,6 +117,40 @@ let test_c_emission_deterministic () =
   let c2 = Compile.to_c (P_examples_lib.German.program ()) in
   check bool_t "same output" true (String.equal c1 c2)
 
+(* [.actions] holds function pointers, so an event with no action is a
+   null pointer there; [P_NO_TARGET] is the empty state index of [.steps]
+   and [.calls] only. *)
+let test_c_emission_null_actions () =
+  let families =
+    [ ("elevator", P_examples_lib.Elevator.program ());
+      ("pingpong", P_examples_lib.Pingpong.program ());
+      ("german", P_examples_lib.German.program ());
+      ("switchled", P_examples_lib.Switch_led.program ());
+      ("tokenring", P_examples_lib.Token_ring.program ());
+      ("boundedbuffer", P_examples_lib.Bounded_buffer.program ());
+      ("leaderring", P_examples_lib.Leader_ring.program ());
+      ("failoverchain", P_examples_lib.Failover_chain.program ());
+      ("usb-stack", P_usb.Stack.program ()) ]
+    @ List.map
+        (fun spec -> (spec.P_usb.Gen.name, P_usb.Gen.program_of_spec spec))
+        P_usb.Gen.all_specs
+  in
+  List.iter
+    (fun (name, p) ->
+      (* the emitter writes each initializer on one line *)
+      let actions =
+        List.filter
+          (fun l -> contains l ".actions = {")
+          (String.split_on_char '\n' (Compile.to_c p))
+      in
+      check bool_t (name ^ ": has action tables") true (actions <> []);
+      List.iter
+        (fun l ->
+          if contains l "P_NO_TARGET" then
+            Alcotest.failf "%s: P_NO_TARGET in an action slot: %s" name l)
+        actions)
+    families
+
 let test_compile_rejects_ill_typed () =
   let p =
     P_parser.Parser.program_of_string
@@ -137,4 +171,5 @@ let suite =
     Alcotest.test_case "C foreign prototypes" `Quick test_c_emission_foreign_prototypes;
     Alcotest.test_case "C deferred bitmap" `Quick test_c_emission_deferred_bitmap;
     Alcotest.test_case "C deterministic" `Quick test_c_emission_deterministic;
+    Alcotest.test_case "C null action slots" `Quick test_c_emission_null_actions;
     Alcotest.test_case "compile rejects ill-typed" `Quick test_compile_rejects_ill_typed ]

@@ -85,10 +85,9 @@ let test_fifo_completes () =
    scheduler resumes the machine by activating it again: the context is
    all there is. A 1-dequeue quantum must therefore send exactly what the
    default quantum sends and end in the same states. Its dequeues differ
-   only by what ⊕ absorbs under the other interleaving: with the default
-   quantum the bounded buffer's consumer digests two items in one
-   activation and sends two payload-less [Credit]s back to back, so the
-   second is absorbed. *)
+   only by what ⊕ absorbs under the other interleaving; neither program
+   here sends the same (event, payload) pair twice in flight — the bounded
+   buffer's consumer numbers its [Credit]s — so every send is dequeued. *)
 let test_quantum_preemption () =
   let run ?quantum program main =
     let s = Sched.create ~policy:Sched.Fifo ?quantum (compile program) in
@@ -112,7 +111,7 @@ let test_quantum_preemption () =
       ( "boundedbuffer-6-2",
         P_examples_lib.Bounded_buffer.program ~items:6 ~credits:2 (),
         "Producer",
-        1 ) ];
+        0 ) ];
   let states1, _ = run ~quantum:1 (P_examples_lib.Pingpong.program ~rounds:8 ()) "Pinger" in
   check state_t "pinger completes under a 1-dequeue quantum" (Some "Finished")
     (List.hd states1)
