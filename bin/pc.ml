@@ -433,8 +433,10 @@ let verify_cmd =
                liveness violation."
          :: Cmd.Exit.info 3
               ~doc:
-                "inconclusive: no error was found, but the state budget ran \
-                 out before the search finished (raise $(b,--max-states))."
+                "inconclusive: no error was found, but a state budget ran \
+                 out before the search finished (raise $(b,--max-states)) \
+                 or, with $(b,--liveness), before the liveness graph was \
+                 complete."
          :: Cmd.Exit.defaults))
     Term.(
       const run_verify $ file_arg $ example_arg $ delay $ max_states $ liveness $ trace

@@ -56,14 +56,7 @@ let pp_outcome ppf = function
 (* ------------------------------------------------------------------ *)
 
 let value_matches driver (v : Value.t) (rv : Rt_value.t) : bool =
-  match (v, rv) with
-  | Value.Null, Rt_value.Null -> true
-  | Value.Bool a, Rt_value.Bool b -> Bool.equal a b
-  | Value.Int a, Rt_value.Int b -> Int.equal a b
-  | Value.Event e, Rt_value.Event id ->
-    Tables.event_id_of_name driver (Names.Event.to_string e) = Some id
-  | Value.Machine m, Rt_value.Machine h -> Mid.to_int m = h
-  | _ -> false
+  Value.equal v (Rt_value.to_value driver rv)
 
 let pp_pair ppf (v, rv) = Fmt.pf ppf "%a vs %a" Value.pp v Rt_value.pp rv
 

@@ -545,7 +545,7 @@ let init_run ?observer ~instr ~engine (spec : 'sched spec) tab ~fp =
       edges = Dynarray.create ();
       stats;
       meters = Search.meters ~engine instr;
-      ticker = Search.ticker instr stats;
+      ticker = Search.ticker instr;
       observer }
   in
   let config0, id0, _ = Step.initial_config tab in
@@ -795,7 +795,7 @@ let run_parallel ?(instr = Search.no_instr) ?(span_args = []) ~engine ~domains
         edges = Dynarray.create ();
         stats;
         meters = Search.meters ~engine instr;
-        ticker = Search.ticker instr stats;
+        ticker = Search.ticker instr;
         observer = None;
         }
     in
@@ -831,8 +831,7 @@ let run_parallel ?(instr = Search.no_instr) ?(span_args = []) ~engine ~domains
       Array.init n (fun w () -> w_steal_retries.(w) <- w_steal_retries.(w) + 1)
     in
     (* live totals for the telemetry sampler: racy plain reads of the
-       per-worker tallies, memory-safe and monotonically slightly stale,
-       like the progress ticker's *)
+       per-worker tallies, memory-safe and monotonically slightly stale *)
     P_obs.Telemetry.set_meta instr.Search.telemetry
       [ ("store", P_obs.Json.String (State_store.kind_to_string spec.store)) ];
     P_obs.Telemetry.set_probe instr.Search.telemetry (fun () ->
@@ -953,8 +952,10 @@ let run_parallel ?(instr = Search.no_instr) ?(span_args = []) ~engine ~domains
       in
       go 0
     in
-    (* worker 0 drives the shared progress ticker with approximate totals;
-       plain reads of other workers' tallies are racy but memory-safe *)
+    (* worker 0 pokes the telemetry sampler and the GC cursor, directly
+       rather than through the ticker's own count gate: this point already
+       fires only once per [tick_every] pops, and both calls are further
+       time-gated internally *)
     let tick_every = 1024 in
     let ticked = ref 0 in
     let tick w =
@@ -962,12 +963,6 @@ let run_parallel ?(instr = Search.no_instr) ?(span_args = []) ~engine ~domains
         incr ticked;
         if !ticked >= tick_every then begin
           ticked := 0;
-          stats.states <- Atomic.get states;
-          stats.transitions <- Array.fold_left ( + ) 0 w_transitions;
-          Search.tick t.ticker;
-          (* directly, not through the ticker's own count gate: this point
-             already fires only once per [tick_every] pops, and both calls
-             are further time-gated internally *)
           P_obs.Telemetry.tick instr.Search.telemetry;
           P_obs.Profile.poll_gc prof
         end

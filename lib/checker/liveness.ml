@@ -139,14 +139,19 @@ let build_graph ?(max_states = 50_000) (tab : Symtab.t) =
 
 (* ---------------- Tarjan SCC ---------------- *)
 
-let sccs (g : graph) : int list list =
+(* The components (each listed root first, sources first) and every node's
+   component id, so membership tests are an array read. Recursive Tarjan:
+   the depth is at most the graph size, and OCaml 5 grows the stack on
+   demand. *)
+let sccs (g : graph) : int list list * int array =
   let index = Array.make (max g.n 1) (-1) in
   let lowlink = Array.make (max g.n 1) 0 in
   let on_stack = Array.make (max g.n 1) false in
+  let comp = Array.make (max g.n 1) (-1) in
   let stack = ref [] in
   let counter = ref 0 in
   let components = ref [] in
-  (* iterative Tarjan to survive deep graphs *)
+  let n_components = ref 0 in
   let rec strongconnect v =
     index.(v) <- !counter;
     lowlink.(v) <- !counter;
@@ -168,15 +173,20 @@ let sccs (g : graph) : int list list =
         | w :: rest ->
           stack := rest;
           on_stack.(w) <- false;
+          comp.(w) <- !n_components;
           if w = v then w :: acc else pop (w :: acc)
       in
-      components := pop [] :: !components
+      components := pop [] :: !components;
+      incr n_components
     end
   in
   for v = 0 to g.n - 1 do
     if index.(v) = -1 then strongconnect v
   done;
-  !components
+  (!components, comp)
+
+(* [inside comp c e]: edge [e] stays in component [c]. *)
+let inside comp c e = comp.(e.dst) = c
 
 (* ---------------- lasso witnesses ---------------- *)
 
@@ -189,28 +199,31 @@ let path_to_root (g : graph) v : (int * Mid.t * bool list) list =
   in
   up v []
 
-(* A simple cycle through the subgraph of [members] whose edges satisfy
-   [restrict], if any: DFS keeping the explicit path, closing at the first
-   back edge onto the current path. Returns (start node, edges). *)
-let find_cycle (g : graph) members ~restrict v0 : (int * (int * edge) list) option =
+(* A simple cycle through the edges satisfying [keep], if any: DFS keeping
+   the explicit path, closing at the first back edge onto the current path.
+   Returns (start node, edges). A node whose search finished without a
+   cycle reaches none, so it is recorded in [dead] and never searched again
+   (by this or a later anchor): skipping it changes no result. *)
+let find_cycle (g : graph) ~keep ~dead v0 : (int * (int * edge) list) option =
   let on_path = Hashtbl.create 16 in
   let exception Cycle of int * (int * edge) list in
-  let rec dfs v path =
-    Hashtbl.replace on_path v (List.length path);
+  let rec dfs v depth path =
+    Hashtbl.replace on_path v depth;
     List.iter
       (fun e ->
-        if List.mem e.dst members && restrict e then
+        if keep e && not (Hashtbl.mem dead e.dst) then
           match Hashtbl.find_opt on_path e.dst with
-          | Some depth ->
+          | Some d ->
             (* close the loop: keep the path suffix from e.dst onward *)
-            let suffix = List.filteri (fun i _ -> i >= depth) (List.rev path) in
-            raise (Cycle (e.dst, List.rev (List.rev suffix) @ [ (v, e) ]))
-          | None -> dfs e.dst ((v, e) :: path))
+            let suffix = List.filteri (fun i _ -> i >= d) (List.rev path) in
+            raise (Cycle (e.dst, suffix @ [ (v, e) ]))
+          | None -> dfs e.dst (depth + 1) ((v, e) :: path))
       !(g.succs).(v);
-    Hashtbl.remove on_path v
+    Hashtbl.remove on_path v;
+    Hashtbl.replace dead v ()
   in
   try
-    dfs v0 [];
+    dfs v0 0 [];
     None
   with Cycle (start, edges) -> Some (start, edges)
 
@@ -224,12 +237,13 @@ let replay_edges tab (g : graph) (edges : (int * Mid.t * bool list) list) :
       snd (Step.run_atomic tab config mid ~choices))
     edges
 
-let witness_of tab (g : graph) members ~restrict : witness option =
+let witness_of tab (g : graph) members ~keep : witness option =
   (* try each member as a cycle anchor *)
+  let dead = Hashtbl.create 16 in
   let rec try_members = function
     | [] -> None
     | v :: rest -> (
-      match find_cycle g members ~restrict v with
+      match find_cycle g ~keep ~dead v with
       | None -> try_members rest
       | Some (start, cycle_edges) ->
         let prefix = replay_edges tab g (path_to_root g start) in
@@ -252,14 +266,9 @@ let pp_witness ppf w =
 
 (* ---------------- property checks over one SCC ---------------- *)
 
-let internal_edges g members v =
-  List.filter (fun e -> List.mem e.dst members) !(g.succs).(v)
-
-(* Does the subgraph of [members] restricted to edges by [m] contain a cycle?
-   (it does iff that restriction has a nontrivial SCC or a self-loop) *)
-let machine_cycle g members m =
-  let sub = List.map (fun v -> (v, List.filter (fun e -> Mid.equal e.by m) (internal_edges g members v))) members in
-  (* DFS-based cycle detection on the small subgraph *)
+(* Does the component (its edges are those satisfying [inside]) restricted
+   to edges by [m] contain a cycle? DFS cycle detection. *)
+let machine_cycle g ~inside members m =
   let color = Hashtbl.create 16 in
   let rec dfs v =
     match Hashtbl.find_opt color v with
@@ -267,15 +276,16 @@ let machine_cycle g members m =
     | Some `Active -> true
     | None ->
       Hashtbl.replace color v `Active;
-      let cyc = List.exists (fun e -> dfs e.dst) (try List.assoc v sub with Not_found -> []) in
+      let cyc =
+        List.exists (fun e -> inside e && Mid.equal e.by m && dfs e.dst) !(g.succs).(v)
+      in
       Hashtbl.replace color v `Done;
       cyc
   in
-  List.exists (fun (v, _) -> dfs v) sub
+  List.exists dfs members
 
-(* Returns each violation with the edge restriction its witness cycle must
-   satisfy. *)
-let check_scc ?(ignore_ghost_divergence = true) tab g members :
+(* Returns each violation with the edges its witness cycle may use. *)
+let check_scc ?(ignore_ghost_divergence = true) tab g ~inside members :
     (violation * (edge -> bool)) list =
   let nontrivial =
     match members with
@@ -286,7 +296,7 @@ let check_scc ?(ignore_ghost_divergence = true) tab g members :
   if not nontrivial then []
   else begin
     let configs = List.map (fun v -> Dynarray.get g.configs v) members in
-    let edges = List.concat_map (fun v -> internal_edges g members v) members in
+    let edges = List.concat_map (fun v -> List.filter inside !(g.succs).(v)) members in
     let machines_in_scc =
       List.fold_left
         (fun acc c -> Config.fold (fun id _ acc -> Mid.Set.add id acc) c acc)
@@ -308,11 +318,12 @@ let check_scc ?(ignore_ghost_divergence = true) tab g members :
           in
           (* ghost machines model the environment, which is allowed to run
              forever; only real machines must not diverge *)
-          if (not (ignore_ghost_divergence && ghost)) && machine_cycle g members m then
+          if (not (ignore_ghost_divergence && ghost)) && machine_cycle g ~inside members m
+          then
             ( Private_divergence
                 { mid = m;
                   machine = Option.value name ~default:(Names.Machine.of_string "?") },
-              fun e -> Mid.equal e.by m )
+              fun e -> inside e && Mid.equal e.by m )
             :: acc
           else acc)
         machines_in_scc []
@@ -343,26 +354,16 @@ let check_scc ?(ignore_ghost_divergence = true) tab g members :
                 (Equeue.to_list m.Machine.queue))
             c []
         in
-        match configs with
-        | [] -> []
-        | first :: others ->
+        (* each state's entries, computed once *)
+        match (configs, List.map entries_of configs) with
+        | [], _ | _, [] -> []
+        | first :: _, first_entries :: others ->
           let candidate (id, ev, pl) =
-            List.for_all
-              (fun c ->
-                List.exists
-                  (fun (id', ev', pl') ->
-                    Mid.equal id id' && Names.Event.equal ev ev' && Value.equal pl pl')
-                  (entries_of c))
-              others
-            && not
-                 (List.exists
-                    (fun e ->
-                      List.exists
-                        (fun (id', ev', pl') ->
-                          Mid.equal id id' && Names.Event.equal ev ev'
-                          && Value.equal pl pl')
-                        e.dequeued)
-                    edges)
+            let same (id', ev', pl') =
+              Mid.equal id id' && Names.Event.equal ev ev' && Value.equal pl pl'
+            in
+            List.for_all (List.exists same) others
+            && not (List.exists (fun e -> List.exists same e.dequeued) edges)
             && (* refined check: never postponed anywhere in the component *)
             List.for_all
               (fun c ->
@@ -374,7 +375,7 @@ let check_scc ?(ignore_ghost_divergence = true) tab g members :
                   | Some st ->
                     let mi = Symtab.machine_info_exn tab m.Machine.name in
                     not (Names.Event.Set.mem ev (Symtab.postponed_set mi st))))
-              (first :: others)
+              configs
           in
           List.filter_map
             (fun ((id, ev, pl) as entry) ->
@@ -384,10 +385,10 @@ let check_scc ?(ignore_ghost_divergence = true) tab g members :
                   Some
                     ( Deferred_forever
                         { mid = id; machine = m.Machine.name; event = ev; payload = pl },
-                      fun (_ : edge) -> true )
+                      inside )
                 | None -> None
               else None)
-            (entries_of first)
+            first_entries
       end
     in
     p1 @ p2
@@ -408,20 +409,19 @@ let check ?max_states ?ignore_ghost_divergence ?(instr = Search.no_instr)
   let started = P_obs.Mclock.start () in
   let t0_us = P_obs.Mclock.now_us () in
   let g, complete = build_graph ?max_states tab in
+  let components, comp = sccs g in
   let found =
     List.concat_map
       (fun members ->
+        let inside = inside comp comp.(List.hd members) in
         List.map
-          (fun (v, restrict) -> (v, members, restrict))
-          (check_scc ?ignore_ghost_divergence tab g members))
-      (sccs g)
-    |> List.map (fun (v, members, restrict) -> (v, (members, restrict)))
+          (fun (v, keep) -> (v, (members, keep)))
+          (check_scc ?ignore_ghost_divergence tab g ~inside members))
+      components
     |> dedup
   in
   let witnesses =
-    List.map
-      (fun (v, (members, restrict)) -> (v, witness_of tab g members ~restrict))
-      found
+    List.map (fun (v, (members, keep)) -> (v, witness_of tab g members ~keep)) found
   in
   let elapsed_s = P_obs.Mclock.elapsed_s started in
   (match instr.Search.metrics with

@@ -57,13 +57,10 @@ let validate_domains ?(hard = false) ?recommended requested =
 (** Parallel delay-bounded exploration. Same verdicts and state counts as
     {!Delay_bounded.explore} (Causal discipline, ⊕ queues); [domains] only
     affects wall-clock time. *)
-let explore ?(max_states = 1_000_000) ?(domains = 4) ?spawn_threshold
+let explore ?(max_states = 1_000_000) ?(domains = 4)
     ?(fingerprint = Fingerprint.Incremental) ?(store = State_store.Exact)
     ?store_capacity ?(reduce = Reduce.none) ?faults ?(instr = Search.no_instr)
     ~delay_bound (tab : P_static.Symtab.t) : Search.result =
-  (* the work-stealing engine sizes itself; the level-synchronous engine's
-     spawn threshold is accepted for compatibility and ignored *)
-  ignore (spawn_threshold : int option);
   let domains =
     match validate_domains ~hard:true domains with
     | Ok d -> d

@@ -36,7 +36,6 @@ val validate_domains :
 val explore :
   ?max_states:int ->
   ?domains:int ->
-  ?spawn_threshold:int ->
   ?fingerprint:Fingerprint.mode ->
   ?store:State_store.kind ->
   ?store_capacity:int ->
@@ -48,9 +47,7 @@ val explore :
   Search.result
 (** [explore ~delay_bound tab] across [domains] workers (default 4).
     Raises {!Invalid_domains} when [domains] is impossible ([< 1] or past
-    the runtime's hard limit). [spawn_threshold] is accepted for
-    compatibility with the retired level-synchronous engine and ignored:
-    the work-stealing engine has no per-level spawn decision. [max_states]
+    the runtime's hard limit). [max_states]
     is checked at claim time; a truncated run may overshoot slightly and
     its counts may vary with [domains] (non-truncated runs are exactly
     deterministic). [fingerprint] selects the state-key strategy (default

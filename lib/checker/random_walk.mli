@@ -26,6 +26,17 @@ type result = {
 
 val pp_result : result Fmt.t
 
+(** The checker's one PRNG: a self-contained xorshift, so seeded runs
+    (walks, sampled schedules, [verify ~seed]) are reproducible without
+    global [Random] state. *)
+type rng
+
+val make_rng : int -> rng
+val rand_int : rng -> int -> int
+(** [rand_int rng bound] draws from [0, bound). *)
+
+val rand_bool : rng -> bool
+
 val run :
   ?walks:int ->
   ?max_blocks:int ->

@@ -290,18 +290,6 @@ let record_counterexample ?program ?seed ?faults ?dedup ~engine tab
 (* Sampling clean schedules                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The same xorshift PRNG as Random_walk, so sampled schedules are seeded
-   and reproducible without touching global Random state. *)
-type rng = { mutable s : int }
-
-let make_rng seed = { s = (seed * 2654435761) lor 1 }
-
-let rand_int rng bound =
-  rng.s <- rng.s lxor (rng.s lsl 13);
-  rng.s <- rng.s lxor (rng.s lsr 7);
-  rng.s <- rng.s lxor (rng.s lsl 17);
-  (rng.s land max_int) mod bound
-
 (** One seeded random walk, recorded as a schedule: repeatedly pick a
     uniformly random enabled machine and random ghost choices until an
     error, quiescence, or [max_blocks]. Unlike {!Random_walk}, the point
@@ -309,13 +297,13 @@ let rand_int rng bound =
     tests — not bug-finding statistics. *)
 let sample_schedule ?(seed = 1) ?(max_blocks = 200) ?(dedup = true) ?faults
     (tab : P_static.Symtab.t) : (Mid.t * bool list) list =
-  let rng = make_rng seed in
+  let rng = Random_walk.make_rng seed in
   let config0, _main, _items = Step.initial_config tab in
   let rec resolve config mid rev_choices =
     let choices = List.rev rev_choices in
     match Step.run_atomic ~dedup ?faults tab config mid ~choices with
     | Step.Need_more_choices, _ ->
-      resolve config mid ((rand_int rng 2 = 1) :: rev_choices)
+      resolve config mid (Random_walk.rand_bool rng :: rev_choices)
     | outcome, _ -> (choices, outcome)
   in
   let rec go i config sched_rev =
@@ -324,7 +312,7 @@ let sample_schedule ?(seed = 1) ?(max_blocks = 200) ?(dedup = true) ?faults
       match Step.enabled tab config with
       | [] -> List.rev sched_rev
       | en ->
-        let mid = List.nth en (rand_int rng (List.length en)) in
+        let mid = List.nth en (Random_walk.rand_int rng (List.length en)) in
         let choices, outcome = resolve config mid [] in
         let sched_rev = (mid, choices) :: sched_rev in
         (match Step.outcome_config outcome with

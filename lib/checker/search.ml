@@ -110,17 +110,14 @@ let pp_stats ppf s =
 (* ------------------------------------------------------------------ *)
 
 (** What an engine run reports while it runs: a metrics registry to count
-    into, a structured trace sink for lifecycle spans, and a progress
-    callback for heartbeats. The default {!no_instr} is free: engines guard
-    every instrumented point on it, and the property tests check results
-    are identical with instrumentation on. *)
+    into, a structured trace sink for lifecycle spans, a phase profiler and
+    a telemetry sampler (the CLI's [--progress] heartbeats). The default
+    {!no_instr} is free: engines guard every instrumented point on it, and
+    the property tests check results are identical with instrumentation
+    on. *)
 type instr = {
   metrics : P_obs.Metrics.t option;
   sink : P_obs.Sink.t;
-  progress : (stats -> unit) option;
-      (** called from the search loop roughly every [progress_every]
-          transitions, with the live (mutable) stats *)
-  progress_every : int;
   profile : P_obs.Profile.t;
       (** per-domain phase profiler; engines record expand / steal /
           barrier / shard-lock spans into it and poll its GC cursor from
@@ -134,14 +131,12 @@ type instr = {
 let no_instr =
   { metrics = None;
     sink = P_obs.Sink.null;
-    progress = None;
-    progress_every = 4096;
     profile = P_obs.Profile.null;
     telemetry = P_obs.Telemetry.null }
 
-let instr ?metrics ?(sink = P_obs.Sink.null) ?progress ?(progress_every = 4096)
-    ?(profile = P_obs.Profile.null) ?(telemetry = P_obs.Telemetry.null) () =
-  { metrics; sink; progress; progress_every; profile; telemetry }
+let instr ?metrics ?(sink = P_obs.Sink.null) ?(profile = P_obs.Profile.null)
+    ?(telemetry = P_obs.Telemetry.null) () =
+  { metrics; sink; profile; telemetry }
 
 (** Metric handles pre-resolved for one engine run ([None] when metrics are
     off), so hot loops never touch the registry's intern table. *)
@@ -189,31 +184,20 @@ let queue_hwm_of_config (config : Config.t) : float =
        (fun _ m acc -> max acc (P_semantics.Equeue.length m.P_semantics.Machine.queue))
        config 0)
 
-(** A progress ticker: calls [instr.progress] every [progress_every]
-    transitions with the live stats, and pokes the telemetry sampler and
-    the profiler's GC cursor every [obs_every] ticks (both are further
-    time-gated internally, so the cadence here only bounds staleness). *)
+(** A ticker: pokes the telemetry sampler and the profiler's GC cursor
+    every [obs_every] ticks (both are further time-gated internally, so
+    the cadence here only bounds staleness). *)
 type ticker = {
   tk_instr : instr;
-  tk_stats : stats;
-  mutable tk_count : int;
   mutable tk_obs : int;
 }
 
 let obs_every = 256
 
-let ticker i stats = { tk_instr = i; tk_stats = stats; tk_count = 0; tk_obs = obs_every }
+let ticker i = { tk_instr = i; tk_obs = obs_every }
 
 let tick (t : ticker) =
   let i = t.tk_instr in
-  (match i.progress with
-  | None -> ()
-  | Some f ->
-    t.tk_count <- t.tk_count + 1;
-    if t.tk_count >= i.progress_every then begin
-      t.tk_count <- 0;
-      f t.tk_stats
-    end);
   if P_obs.Telemetry.enabled i.telemetry || P_obs.Profile.enabled i.profile then begin
     t.tk_obs <- t.tk_obs - 1;
     if t.tk_obs <= 0 then begin

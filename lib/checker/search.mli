@@ -61,17 +61,13 @@ val pp_stats : stats Fmt.t
 
     Engines accept an {!instr} describing where to report: a metrics
     registry (counted into per-domain shards — see {!P_obs.Metrics}), a
-    structured trace sink for lifecycle spans, and a progress callback.
-    {!no_instr}, the default, makes every instrumented point a no-op;
+    structured trace sink for lifecycle spans, a phase profiler, and a
+    telemetry sampler (the CLI's [--progress] heartbeats). {!no_instr}, the default, makes every instrumented point a no-op;
     results are identical either way. *)
 
 type instr = {
   metrics : P_obs.Metrics.t option;
   sink : P_obs.Sink.t;
-  progress : (stats -> unit) option;
-      (** called roughly every [progress_every] transitions with the live
-          (mutable) stats *)
-  progress_every : int;
   profile : P_obs.Profile.t;
       (** per-domain phase profiler (expand / steal / barrier_wait /
           shard_lock / gc spans); {!P_obs.Profile.null} by default. The
@@ -87,8 +83,6 @@ val no_instr : instr
 val instr :
   ?metrics:P_obs.Metrics.t ->
   ?sink:P_obs.Sink.t ->
-  ?progress:(stats -> unit) ->
-  ?progress_every:int ->
   ?profile:P_obs.Profile.t ->
   ?telemetry:P_obs.Telemetry.t ->
   unit ->
@@ -118,7 +112,7 @@ val queue_hwm_of_config : P_semantics.Config.t -> float
 
 type ticker
 
-val ticker : instr -> stats -> ticker
+val ticker : instr -> ticker
 val tick : ticker -> unit
 
 val emit_run_span :

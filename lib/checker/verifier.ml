@@ -23,12 +23,14 @@ type report = {
 type outcome = Clean | Failed | Inconclusive
 
 let outcome r =
-  let live_ok =
-    match r.liveness with None | Some { violations = []; _ } -> true | Some _ -> false
+  let live_ok, live_complete =
+    match r.liveness with
+    | None -> (true, true)
+    | Some { violations; complete; _ } -> (violations = [], complete)
   in
   match r.safety with
   | Some { verdict = Search.No_error; stats } when r.static_diagnostics = [] && live_ok ->
-    if stats.truncated then Inconclusive else Clean
+    if stats.truncated || not live_complete then Inconclusive else Clean
   | _ -> Failed
 
 let is_clean r = outcome r = Clean
@@ -41,7 +43,7 @@ let pp_report ppf r =
     List.iter (fun d -> Fmt.pf ppf "  %a@." Symtab.pp_diagnostic d) ds);
   (match r.safety with
   | None -> ()
-  | Some res when outcome r = Inconclusive ->
+  | Some res when res.stats.truncated && outcome r = Inconclusive ->
     Fmt.pf ppf "safety: inconclusive (state budget exhausted) (%a)@."
       Search.pp_stats res.stats
   | Some res -> Fmt.pf ppf "safety: %a@." Search.pp_result res);
@@ -62,7 +64,9 @@ let pp_report ppf r =
   | Some res ->
     Fmt.pf ppf "liveness: %d violation(s) over %d states%s, %.3fs@."
       (List.length res.violations) res.explored_states
-      (if res.complete then "" else " (truncated)")
+      (if res.complete then ""
+       else if res.violations = [] then " (inconclusive: state budget exhausted)"
+       else " (truncated)")
       res.elapsed_s;
     List.iter
       (fun (v, w) ->
@@ -72,16 +76,9 @@ let pp_report ppf r =
         | None -> ())
       res.witnesses
 
-(* The same xorshift PRNG as {!Random_walk}, so seeded verification runs
-   are reproducible without global Random state. *)
 let sampled_resolver seed =
-  let s = ref ((seed * 2654435761) lor 1) in
-  Engine.Sampled
-    (fun () ->
-      s := !s lxor (!s lsl 13);
-      s := !s lxor (!s lsr 7);
-      s := !s lxor (!s lsl 17);
-      (!s land max_int) mod 2 = 1)
+  let rng = Random_walk.make_rng seed in
+  Engine.Sampled (fun () -> Random_walk.rand_bool rng)
 
 (** Verify a program: static checks, then delay-bounded safety search, then
     (if [liveness]) the fair-cycle liveness analysis. With [seed] the

@@ -19,14 +19,16 @@ type report = {
 }
 
 type outcome =
-  | Clean  (** nothing failed, and the safety search ran to completion *)
+  | Clean
+      (** nothing failed, and the safety search (and the liveness graph,
+          when requested) ran to completion *)
   | Failed
       (** a static diagnostic, a safety counterexample or a liveness
           violation *)
   | Inconclusive
-      (** nothing failed, but the safety search was truncated: its state
-          budget ran out before the bounded space was exhausted, so the
-          unexplored part may hold an error *)
+      (** nothing failed, but the safety search or the liveness graph was
+          truncated: a state budget ran out before the space was exhausted,
+          so the unexplored part may hold an error or a violating cycle *)
 
 val outcome : report -> outcome
 

@@ -1,8 +1,9 @@
-(** Serializing checker traces ({!P_semantics.Trace}) to a structured sink:
-    each trace item becomes one instant event on the thread lane of its
-    principal machine, timestamped by its position in the trace (these are
-    logical traces — the position *is* the time). A counterexample written
-    this way opens in Perfetto with one lane per machine and the
+(** Serializing P traces ({!P_semantics.Trace}) — checker counterexamples
+    and the live runtime alike — to a structured sink: each trace item
+    becomes one instant event on the thread lane of its principal machine.
+    A checker trace is timestamped by its position (logical traces — the
+    position *is* the time); the runtime's {!hook} stamps real monotonic
+    time. Either opens in Perfetto with one lane per machine and the
     message-passing history laid out left to right. *)
 
 module Trace = P_semantics.Trace
@@ -71,6 +72,18 @@ let encode (item : Trace.item) : string * int * (string * Json.t) list =
       [ ("kind", Json.String "faulted");
         ("mid", mid_json mid);
         ("fault", Json.String fault) ] )
+
+(** A live trace hook (for [P_runtime.Api.set_trace_hook]): each item
+    becomes an instant event timestamped on the monotonic clock relative to
+    the hook's creation. The runtime executes in real time, so unlike
+    {!emit}'s logical positions these timestamps are meaningful durations. *)
+let hook (sink : Sink.t) : Trace.item -> unit =
+  let t0_us = Mclock.now_us () in
+  fun item ->
+    if Sink.enabled sink then begin
+      let name, tid, args = encode item in
+      Sink.instant sink ~cat ~tid ~args ~name ~ts_us:(Mclock.now_us () -. t0_us) ()
+    end
 
 (** Emit a whole trace; item [i] lands at [t0_us + i] microseconds. *)
 let emit sink ?(t0_us = 0.0) (t : Trace.t) : unit =

@@ -1,7 +1,9 @@
-(** Serializing checker traces ({!P_semantics.Trace}) to a structured sink:
-    one instant event per item on the lane of its principal machine,
-    timestamped by trace position (logical traces — position is time), so a
-    counterexample opens in Perfetto with one lane per machine. *)
+(** Serializing P traces ({!P_semantics.Trace}) to a structured sink —
+    the one encoder for checker counterexamples and the live runtime alike:
+    one instant event per item on the lane of its principal machine, so a
+    run opens in Perfetto with one lane per machine. A checker trace is
+    timestamped by position (logical traces — position is time); the
+    runtime's {!hook} by the monotonic clock. *)
 
 val cat : string
 (** The Chrome-event category of P trace items ("ptrace"). *)
@@ -12,6 +14,11 @@ val encode : P_semantics.Trace.item -> string * int * (string * Json.t) list
 
 val emit : Sink.t -> ?t0_us:float -> P_semantics.Trace.t -> unit
 (** Emit a whole trace; item [i] lands at [t0_us + i] microseconds. *)
+
+val hook : Sink.t -> P_semantics.Trace.item -> unit
+(** A live trace hook, e.g. for the runtime's
+    [Api.set_trace_hook rt (Some (Sem_trace.hook sink))]: each item lands
+    at its real monotonic time since the hook was made. *)
 
 val key : P_semantics.Trace.item -> string
 (** A canonical comparison key — what {!key_of_args} reconstructs. *)

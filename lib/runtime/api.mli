@@ -21,8 +21,10 @@ val register_foreign : t -> string -> Exec.foreign_fn -> unit
     driver-specific C files); must be registered before any machine calls
     it. *)
 
-val set_trace_hook : t -> (Rt_trace.item -> unit) option -> unit
-(** Observe creations, sends, dequeues, state entries, and deletions. *)
+val set_trace_hook : t -> (P_semantics.Trace.item -> unit) option -> unit
+(** Observe creations, sends, dequeues, state entries, and deletions, as
+    the interpreter's {!P_semantics.Trace} items; {!P_obs.Sem_trace.hook}
+    writes them to a trace sink. *)
 
 val set_metrics : t -> P_obs.Metrics.t option -> unit
 (** Count [runtime.sends], [runtime.dequeues], [runtime.creates] and track

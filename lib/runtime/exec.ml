@@ -21,6 +21,9 @@
     thread and take no lock. *)
 
 module Tables = P_compile.Tables
+module Trace = P_semantics.Trace
+module Mid = P_semantics.Mid
+module Names = P_syntax.Names
 
 exception Runtime_error of string
 
@@ -99,7 +102,7 @@ type t = {
       (** [resolved.(ty).(f)]: machine type [ty]'s foreign [f], looked up
           by name on its first call; {!register_foreign} clears it *)
   lock : Mutex.t;  (** taken in [Nested] mode only *)
-  mutable trace_hook : (Rt_trace.item -> unit) option;
+  mutable trace_hook : (Trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
@@ -200,6 +203,20 @@ let find_instance rt handle = locked rt (fun rt h -> Hashtbl.find_opt rt.instanc
 
 let event_name rt e = fst rt.driver.dr_events.(e)
 let state_name (ctx : Context.t) s = ctx.table.mt_states.(s).Tables.st_name
+
+(* Trace items, in the interpreter's vocabulary ({!P_semantics.Trace}). *)
+let event_of rt e = Names.Event.of_string (event_name rt e)
+
+let entered (ctx : Context.t) s =
+  Trace.Entered
+    { mid = Mid.of_int ctx.self; state = Names.State.of_string (state_name ctx s) }
+
+let sent_item rt ~src dst e v =
+  Trace.Sent
+    { src = Mid.of_int src;
+      dst = Mid.of_int dst;
+      event = event_of rt e;
+      payload = Rt_value.to_value rt.driver v }
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -322,7 +339,11 @@ let rec run_machine rt (ctx : Context.t) : unit =
         | None -> ()
         | Some m -> P_obs.Metrics.incr m.rm_dequeues);
         if tracing rt then
-          emit rt (Rt_trace.Dequeued { mid = ctx.self; event = event_name rt e });
+          emit rt
+            (Trace.Dequeued
+               { mid = Mid.of_int ctx.self;
+                 event = event_of rt e;
+                 payload = Rt_value.to_value rt.driver v });
         ctx.msg <- Some e;
         ctx.arg <- v;
         ctx.agenda <- [ Context.Handle (e, v) ])
@@ -351,7 +372,7 @@ and exec_task rt (ctx : Context.t) task rest =
     | frame :: _ ->
       frame.f_state <- target;
       if tracing rt then
-        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+        emit rt (entered ctx target);
       ctx.agenda <- Context.Exec (Context.state_table ctx target).st_entry :: rest)
   | Context.Exec code -> exec_code rt ctx code rest
 
@@ -371,7 +392,7 @@ and handle_event rt (ctx : Context.t) e v =
         ctx.frames <-
           { Context.f_state = target; f_amap = amap; f_cont = [] } :: ctx.frames;
         if tracing rt then
-          emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+          emit rt (entered ctx target);
         ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ]
       | None -> (
         let action =
@@ -427,7 +448,7 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
         (* the fresh machine preempts its creator, as in the d=0 schedule *)
         ignore (run_if_idle rt child : bool))
   | Tables.CDelete ->
-    if tracing rt then emit rt (Rt_trace.Deleted { mid = ctx.self });
+    if tracing rt then emit rt (Trace.Deleted { mid = Mid.of_int ctx.self });
     locked rt
       (fun rt (ctx : Context.t) ->
         ctx.alive <- false;
@@ -482,7 +503,7 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
       ctx.frames <-
         { Context.f_state = target; f_amap = amap; f_cont = rest } :: ctx.frames;
       if tracing rt then
-        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+        emit rt (entered ctx target);
       ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ])
   | Tables.CForeign_stmt (f, args) ->
     let (_ : Rt_value.t) = call_foreign rt ctx f (List.map (eval rt ctx) args) in
@@ -507,8 +528,12 @@ and adopt_instance rt ~self ~creator ty : Context.t =
   | None -> ()
   | Some m -> P_obs.Metrics.incr m.rm_creates);
   if tracing rt then begin
-    emit rt (Rt_trace.Created { creator; created = self; kind = ctx.table.mt_name });
-    emit rt (Rt_trace.Entered { mid = self; state = state_name ctx 0 })
+    emit rt
+      (Trace.Created
+         { creator = Option.map Mid.of_int creator;
+           created = Mid.of_int self;
+           kind = Names.Machine.of_string ctx.table.mt_name });
+    emit rt (entered ctx 0)
   end;
   ctx
 
@@ -564,10 +589,7 @@ and deliver rt ~src dst e v : Context.backpressure =
     error "send to deleted machine #%d (event %s)" dst (event_name rt e)
   | Some (_, Context.Enq_overflow) -> Context.Shed
   | Some (target, (Context.Enq_ok | Context.Enq_duplicate)) ->
-    if tracing rt then
-      emit rt
-        (Rt_trace.Sent
-           { src; dst; event = event_name rt e; payload = Fmt.str "%a" Rt_value.pp v });
+    if tracing rt then emit rt (sent_item rt ~src dst e v);
     if is_stepped rt then begin
       (* SEND is a scheduling point: enqueue only, stop at the block
          boundary; the schedule decides when the receiver runs *)

@@ -78,7 +78,7 @@ type t = {
       (** [resolved.(ty).(f)]: machine type [ty]'s foreign [f], looked up
           by name on its first call; {!register_foreign} clears it *)
   lock : Mutex.t;  (** taken in [Nested] mode only *)
-  mutable trace_hook : (Rt_trace.item -> unit) option;
+  mutable trace_hook : (P_semantics.Trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
@@ -124,10 +124,14 @@ val set_metrics : t -> P_obs.Metrics.t option -> unit
 val register_foreign : t -> string -> foreign_fn -> unit
 val find_instance : t -> int -> Context.t option
 
-val emit : t -> Rt_trace.item -> unit
+val emit : t -> P_semantics.Trace.item -> unit
 (** Feed the trace hook, if set (the scheduler emits [Sent] items so the
     scheduled driver's observable trace matches the nested driver's).
     Callers build the item only when a hook is installed. *)
+
+val sent_item : t -> src:int -> int -> int -> Rt_value.t -> P_semantics.Trace.item
+(** [sent_item rt ~src dst event payload]: the [Sent] item of one send,
+    names and payload resolved through the driver ({!Rt_value.to_value}). *)
 
 val event_name : t -> int -> string
 

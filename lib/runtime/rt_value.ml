@@ -21,6 +21,13 @@ let pp ppf = function
   | Event e -> Fmt.pf ppf "evt#%d" e
   | Machine m -> Fmt.pf ppf "#%d" m
 
+let to_value (driver : P_compile.Tables.driver) : t -> P_semantics.Value.t = function
+  | Null -> Null
+  | Bool b -> Bool b
+  | Int i -> Int i
+  | Event e -> Event (P_syntax.Names.Event.of_string (fst driver.dr_events.(e)))
+  | Machine m -> Machine (P_semantics.Mid.of_int m)
+
 exception Type_error of string
 
 let truth = function

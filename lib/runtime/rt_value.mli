@@ -13,6 +13,10 @@ type t =
 val equal : t -> t -> bool
 val pp : t Fmt.t
 
+val to_value : P_compile.Tables.driver -> t -> P_semantics.Value.t
+(** The interpreter's view of a runtime value: event ids become names
+    through [driver], handles become {!P_semantics.Mid}s. *)
+
 exception Type_error of string
 
 val truth : t -> bool

@@ -274,12 +274,7 @@ and local_send t ~src dst event payload : Context.backpressure =
         P_obs.Metrics.set_max m.Exec.rm_queue_hwm
           (float_of_int (Context.inbox_length target)));
       if rt.Exec.trace_hook <> None then
-        Exec.emit rt
-          (Rt_trace.Sent
-             { src;
-               dst;
-               event = Exec.event_name rt event;
-               payload = Fmt.str "%a" Rt_value.pp payload });
+        Exec.emit rt (Exec.sent_item rt ~src dst event payload);
       activate t target))
 
 and route_send t ~src dst event payload : Context.backpressure =

@@ -1,7 +1,9 @@
 (** Execution traces: the observable happenings of a run, used for
     counterexample reporting, the liveness predicates of section 3.2
     ([enq], [deq], [sched]), coverage attribution, and the runtime
-    equivalence tests. *)
+    equivalence tests. The compiled runtime's trace hook emits the same
+    items (creations, sends, dequeues, state entries, deletions), so the
+    two engines' runs compare structurally. *)
 
 open P_syntax
 

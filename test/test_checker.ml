@@ -230,19 +230,19 @@ let test_verifier_report () =
   let report = Verifier.verify ~delay_bound:1 (P_examples_lib.Pingpong.buggy_program ()) in
   check bool_t "buggy rejected" false (Verifier.is_clean report)
 
+let outcome_t =
+  Alcotest.testable
+    (fun ppf o ->
+      Fmt.string ppf
+        (match o with
+        | Verifier.Clean -> "Clean"
+        | Verifier.Failed -> "Failed"
+        | Verifier.Inconclusive -> "Inconclusive"))
+    ( = )
+
 (* A search cut short by its state budget found no error but did not show
    there is none: the report says so and is not clean. *)
 let test_verifier_outcome () =
-  let outcome_t =
-    Alcotest.testable
-      (fun ppf o ->
-        Fmt.string ppf
-          (match o with
-          | Verifier.Clean -> "Clean"
-          | Verifier.Failed -> "Failed"
-          | Verifier.Inconclusive -> "Inconclusive"))
-      ( = )
-  in
   let elevator = P_examples_lib.Elevator.program () in
   let full = Verifier.verify ~delay_bound:1 elevator in
   check outcome_t "exhausted bound" Verifier.Clean (Verifier.outcome full);
@@ -259,6 +259,25 @@ let test_verifier_outcome () =
       (P_examples_lib.Pingpong.buggy_program ())
   in
   check outcome_t "error" Verifier.Failed (Verifier.outcome buggy)
+
+(* The same for a liveness graph cut short: no violating cycle among the
+   states built does not show there is none. *)
+let test_verifier_truncated_liveness () =
+  let cut =
+    Verifier.verify ~delay_bound:1 ~liveness:true ~liveness_max_states:100
+      (P_examples_lib.Elevator.program ())
+  in
+  check bool_t "safety complete" false (Option.get cut.safety).stats.truncated;
+  check bool_t "liveness graph truncated" false (Option.get cut.liveness).complete;
+  check outcome_t "truncated liveness" Verifier.Inconclusive (Verifier.outcome cut);
+  check bool_t "stats document not clean" true
+    (P_obs.Json.member "clean" (Obs_report.json_of_report cut)
+    = Some (P_obs.Json.Bool false));
+  let text = Fmt.str "%a" Verifier.pp_report cut in
+  check bool_t "safety still reported" true
+    (Astring_contains.contains text "safety: no error found");
+  check bool_t "liveness reported inconclusive" true
+    (Astring_contains.contains text "(inconclusive: state budget exhausted)")
 
 let test_verifier_static_rejection () =
   let p =
@@ -292,4 +311,6 @@ let suite =
     Alcotest.test_case "liveness elevator" `Slow test_liveness_elevator_clean;
     Alcotest.test_case "verifier report" `Quick test_verifier_report;
     Alcotest.test_case "verifier truncated is inconclusive" `Quick test_verifier_outcome;
+    Alcotest.test_case "verifier truncated liveness is inconclusive" `Quick
+      test_verifier_truncated_liveness;
     Alcotest.test_case "verifier static" `Quick test_verifier_static_rejection ]

@@ -6,9 +6,11 @@
    simulator (P_semantics.Simulate, the d=0 slice of the delaying scheduler)
    are independent implementations; these tests compare their observable
    traces item by item on ghost-free programs, where erasure is the
-   identity and the comparison is exact. *)
+   identity and the comparison is exact. Both sides speak
+   {!P_semantics.Trace}, so the comparison is structural, dequeue payloads
+   included. *)
 
-module Rt_trace = P_runtime.Rt_trace
+module Trace = P_semantics.Trace
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -33,7 +35,7 @@ let runtime_trace program main =
   let items = ref [] in
   P_runtime.Api.set_trace_hook rt (Some (fun it -> items := it :: !items));
   let _ = create_machine main in
-  Rt_trace.observable (List.rev !items)
+  Trace.observable (List.rev !items)
 
 let simulator_trace program =
   let tab = P_static.Check.run_exn program in
@@ -42,18 +44,12 @@ let simulator_trace program =
   | P_semantics.Simulate.Error e ->
     Alcotest.failf "simulator hit an error: %a" P_semantics.Errors.pp e
   | _ -> ());
-  Rt_trace.of_semantics_trace r.trace
-
-let item_str it = Fmt.str "%a" Rt_trace.pp_item it
+  Trace.observable r.trace
 
 let assert_equal_traces name rt_items sim_items =
-  let rt_strs = List.map item_str rt_items in
-  let sim_strs = List.map item_str sim_items in
-  if rt_strs <> sim_strs then begin
-    let pp = Fmt.str "@[<v>%a@]" Fmt.(list ~sep:cut string) in
-    Alcotest.failf "%s traces differ:@.--- runtime ---@.%s@.--- simulator ---@.%s" name
-      (pp rt_strs) (pp sim_strs)
-  end
+  if rt_items <> sim_items then
+    Alcotest.failf "%s traces differ:@.--- runtime ---@.%a@.--- simulator ---@.%a" name
+      Trace.pp rt_items Trace.pp sim_items
 
 let equiv name program main =
   assert_equal_traces name (runtime_trace program main) (simulator_trace program)
@@ -82,7 +78,7 @@ let test_token_ring () =
   let program = P_examples_lib.Token_ring.program ~n:3 () in
   let tab = P_static.Check.run_exn program in
   let sim = P_semantics.Simulate.run ~max_blocks:60 tab in
-  let sim_items = Rt_trace.of_semantics_trace sim.trace in
+  let sim_items = Trace.observable sim.trace in
   let { P_compile.Compile.driver; _ } = P_compile.Compile.compile program in
   let rt, create_machine = make_runtime driver in
   let items = ref [] in
@@ -95,11 +91,10 @@ let test_token_ring () =
          incr count;
          if !count > 2_000 then raise Enough));
   (try ignore (create_machine "Starter") with Enough -> ());
-  let rt_items = Rt_trace.observable (List.rev !items) in
+  let rt_items = Trace.observable (List.rev !items) in
   let n = min (List.length sim_items) (List.length rt_items) in
   let take n l = List.filteri (fun i _ -> i < n) l in
-  check bool_t "prefix agrees" true
-    (List.map item_str (take n rt_items) = List.map item_str (take n sim_items));
+  check bool_t "prefix agrees" true (take n rt_items = take n sim_items);
   check bool_t "long enough to be meaningful" true (n > 30)
 
 let test_switch_led_erased () =
@@ -112,7 +107,7 @@ let test_switch_led_erased () =
   let items = ref [] in
   P_runtime.Api.set_trace_hook rt (Some (fun it -> items := it :: !items));
   let _ = create_machine "SwitchLed" in
-  let rt_items = Rt_trace.observable (List.rev !items) in
+  let rt_items = Trace.observable (List.rev !items) in
   let sim_items = simulator_trace erased in
   assert_equal_traces "switchled-erased" rt_items sim_items
 

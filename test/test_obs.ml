@@ -120,7 +120,7 @@ let test_shard_merge_equals_sequential () =
   let reg = Metrics.create () in
   let instr = Search.instr ~metrics:reg () in
   let par =
-    Parallel.explore ~domains:3 ~spawn_threshold:1 ~delay_bound:2
+    Parallel.explore ~domains:3 ~delay_bound:2
       ~max_states:200_000 ~instr tab
   in
   check int_t "parallel agrees with sequential" seq.stats.states par.stats.states;
@@ -163,22 +163,6 @@ let test_instrumented_results_identical () =
       (* the metrics agree with the stats *)
       check int_t "metrics states" plain.stats.states
         (Metrics.counter_total reg "checker.states"))
-
-let test_progress_callback_fires () =
-  let tab = tab_of (P_examples_lib.Elevator.program ()) in
-  let fired = ref 0 in
-  let last_states = ref 0 in
-  let instr =
-    Search.instr
-      ~progress:(fun s ->
-        incr fired;
-        last_states := s.Search.states)
-      ~progress_every:100 ()
-  in
-  let r = Delay_bounded.explore ~delay_bound:2 ~instr tab in
-  check bool_t "fired" true (!fired > 0);
-  check bool_t "saw live stats" true
-    (!last_states > 0 && !last_states <= r.stats.states)
 
 (* ---------------- trace sinks ---------------- *)
 
@@ -274,7 +258,7 @@ let test_runtime_trace_sink () =
   with_temp_file (fun path ->
       let oc = open_out path in
       let sink = Sink.chrome oc in
-      P_runtime.Api.set_trace_hook rt (Some (P_runtime.Rt_trace.obs_hook sink));
+      P_runtime.Api.set_trace_hook rt (Some (Sem_trace.hook sink));
       ignore (P_runtime.Api.create_machine rt "Pinger");
       Sink.close sink;
       close_out oc;
@@ -289,6 +273,39 @@ let test_runtime_trace_sink () =
         in
         check int_t "runtime sends in trace" 5 (List.length sends)
       | _ -> Alcotest.fail "no traceEvents array")
+
+(* One vocabulary: a ghost-free program's d = 0 run, written live through
+   the runtime's hook and written from the simulator's trace, yields the
+   same observable keys from either Chrome file. *)
+let test_runtime_trace_matches_simulator () =
+  let keys_written f =
+    with_temp_file (fun path ->
+        let oc = open_out path in
+        let sink = Sink.chrome oc in
+        f sink;
+        Sink.close sink;
+        close_out oc;
+        Sem_trace.observable_keys_of_json (Json.of_string (read_file path)))
+  in
+  List.iter
+    (fun (name, program, main) ->
+      let from_runtime =
+        keys_written (fun sink ->
+            let { P_compile.Compile.driver; _ } = P_compile.Compile.compile program in
+            let rt = P_runtime.Api.create driver in
+            P_runtime.Api.set_trace_hook rt (Some (Sem_trace.hook sink));
+            ignore (P_runtime.Api.create_machine rt main))
+      in
+      let from_simulator =
+        keys_written (fun sink ->
+            Sem_trace.emit sink (P_semantics.Simulate.run (tab_of program)).trace)
+      in
+      check bool_t (name ^ " has observable items") true (from_runtime <> []);
+      check (Alcotest.list Alcotest.string) name from_simulator from_runtime)
+    [ ("pingpong-3", P_examples_lib.Pingpong.program ~rounds:3 (), "Pinger");
+      ( "boundedbuffer-4-2",
+        P_examples_lib.Bounded_buffer.program ~items:4 ~credits:2 (),
+        "Producer" ) ]
 
 let test_host_callback_histogram () =
   let device = P_examples_lib.Switch_led.new_device () in
@@ -596,7 +613,6 @@ let suite =
       test_shard_merge_equals_sequential;
     Alcotest.test_case "instr: results identical" `Quick
       test_instrumented_results_identical;
-    Alcotest.test_case "instr: progress fires" `Quick test_progress_callback_fires;
     Alcotest.test_case "sink: chrome trace round-trips" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "sink: jsonl lines parse" `Quick test_jsonl_sink_lines_parse;
@@ -615,6 +631,8 @@ let suite =
       test_stats_json_states_field;
     Alcotest.test_case "runtime: metrics counters" `Quick test_runtime_metrics;
     Alcotest.test_case "runtime: trace sink" `Quick test_runtime_trace_sink;
+    Alcotest.test_case "runtime: trace keys = simulator's" `Quick
+      test_runtime_trace_matches_simulator;
     Alcotest.test_case "host: callback histogram" `Quick
       test_host_callback_histogram;
     Alcotest.test_case "mclock: monotonic" `Quick test_mclock_monotonic ]

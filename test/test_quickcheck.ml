@@ -107,7 +107,7 @@ let ce_of (r : Search.result) =
   match r.verdict with Search.Error_found ce -> Some ce | Search.No_error -> None
 
 (* Run a compiled program under one of the two runtime drivers, collecting
-   the raw trace (stricter than [Rt_trace.observable]: both drivers emit at
+   the raw trace (stricter than [Trace.observable]: both drivers emit at
    the same points, so internal items must line up too). The cutoff bounds
    programs that circulate forever; both drivers abort at the same item
    when their schedules agree. *)
@@ -120,7 +120,7 @@ let runtime_run ~effects driver main =
   let items = ref [] in
   let count = ref 0 in
   let hook it =
-    items := Fmt.str "%a" P_runtime.Rt_trace.pp_item it :: !items;
+    items := it :: !items;
     incr count;
     if !count > runtime_trace_cutoff then raise Enough
   in
@@ -147,6 +147,8 @@ let outcome_str = function
   | Run_cutoff -> "cutoff"
   | Run_failed m -> "error: " ^ m
 
+let pp_item = P_semantics.Trace.pp_item
+
 let check_sched_axis seed (p : P_syntax.Ast.program) =
   let driver = (P_compile.Compile.compile p).P_compile.Compile.driver in
   let main = P_syntax.Names.Machine.to_string p.main in
@@ -158,11 +160,11 @@ let check_sched_axis seed (p : P_syntax.Ast.program) =
   if t_items <> e_items then begin
     let rec first i = function
       | [], [] -> failf seed "sched axis: traces differ (unlocated)"
-      | a :: _, [] -> failf seed "sched axis: item %d %S only under threads" i a
-      | [], b :: _ -> failf seed "sched axis: item %d %S only under effects" i b
+      | a :: _, [] -> failf seed "sched axis: item %d %a only under threads" i pp_item a
+      | [], b :: _ -> failf seed "sched axis: item %d %a only under effects" i pp_item b
       | a :: ta, b :: tb ->
         if a <> b then
-          failf seed "sched axis: item %d: threads %S <> effects %S" i a b
+          failf seed "sched axis: item %d: threads %a <> effects %a" i pp_item a pp_item b
         else first (Stdlib.( + ) i 1) (ta, tb)
     in
     first 0 (t_items, e_items)

@@ -32,7 +32,7 @@ let test_pingpong_runs () =
   check bool_t "ponger deleted itself" false (Api.is_alive rt 1);
   let sends =
     List.length
-      (List.filter (function P_runtime.Rt_trace.Sent _ -> true | _ -> false) (get ()))
+      (List.filter (function P_semantics.Trace.Sent _ -> true | _ -> false) (get ()))
   in
   (* 3 pings + 3 pongs + 1 done *)
   check int_t "sends" 7 sends

@@ -14,7 +14,7 @@
      the batched transfer queues. *)
 
 module Rt_value = P_runtime.Rt_value
-module Rt_trace = P_runtime.Rt_trace
+module Trace = P_semantics.Trace
 module Context = P_runtime.Context
 module Exec = P_runtime.Exec
 module Api = P_runtime.Api
@@ -27,21 +27,21 @@ let bool_t = Alcotest.bool
 let state_t = Alcotest.option Alcotest.string
 
 let compile p = (P_compile.Compile.compile p).P_compile.Compile.driver
-let item_str it = Fmt.str "%a" Rt_trace.pp_item it
+let item_t = Alcotest.testable Trace.pp_item ( = )
 
 let nested_trace driver main =
   let rt = Api.create driver in
   let items = ref [] in
   Api.set_trace_hook rt (Some (fun it -> items := it :: !items));
   let _ = Api.create_machine rt main in
-  Rt_trace.observable (List.rev !items)
+  Trace.observable (List.rev !items)
 
 let causal_trace driver main =
   let s = Sched.create ~policy:Sched.Causal driver in
   let items = ref [] in
   Api.set_trace_hook (Sched.exec s) (Some (fun it -> items := it :: !items));
   let _ = Sched.create_machine s main in
-  Rt_trace.observable (List.rev !items)
+  Trace.observable (List.rev !items)
 
 (* ------------------------------------------------------------------ *)
 (* Causal policy ≡ nested driver                                       *)
@@ -51,9 +51,8 @@ let test_causal_matches_nested () =
   List.iter
     (fun (name, program, main) ->
       let driver = compile program in
-      let nested = List.map item_str (nested_trace driver main) in
-      let causal = List.map item_str (causal_trace driver main) in
-      check (Alcotest.list Alcotest.string) name nested causal)
+      check (Alcotest.list item_t) name (nested_trace driver main)
+        (causal_trace driver main))
     [ ("pingpong-1", P_examples_lib.Pingpong.program ~rounds:1 (), "Pinger");
       ("pingpong-5", P_examples_lib.Pingpong.program ~rounds:5 (), "Pinger");
       ( "boundedbuffer-4-2",
@@ -342,7 +341,7 @@ let test_seeded_nondet () =
     let items = ref [] in
     Api.set_trace_hook rt (Some (fun it -> items := it :: !items));
     let _ = Sched.create_machine s "GhostSwitch" in
-    List.rev_map item_str !items
+    List.rev !items
   in
   let a = run (Some 42) in
   let b = run (Some 42) in
@@ -351,7 +350,7 @@ let test_seeded_nondet () =
     (List.length a > 5);
   check bool_t "unseeded * is a runtime error under the scheduler" true
     (try
-       ignore (run None : string list);
+       ignore (run None : Trace.item list);
        false
      with Exec.Runtime_error _ -> true)
 
@@ -483,7 +482,7 @@ let test_fault_schedule_deterministic () =
       if i mod 8 = 0 then Sched.run s
     done;
     Sched.run s;
-    (Sched.stats s, List.rev_map item_str !items)
+    (Sched.stats s, List.rev !items)
   in
   let st1, tr1 = run () in
   let st2, tr2 = run () in
